@@ -26,27 +26,3 @@ func TestRunSSAExtensionSmoke(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
-
-func TestRunCoalesceSmoke(t *testing.T) {
-	rows := RunCoalesce([]Suite{SuiteLAOKernels})
-	if len(rows) != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	r := rows[0]
-	if r.Moves == 0 || r.TotalCost <= 0 {
-		t.Fatalf("no moves found: %+v", r)
-	}
-	if r.Aggressive < r.Conserv-1e-9 {
-		t.Fatalf("conservative eliminated more than aggressive: %+v", r)
-	}
-	if r.Aggressive < 0 || r.Aggressive > 1 || r.Conserv < 0 || r.Conserv > 1 {
-		t.Fatalf("fractions out of range: %+v", r)
-	}
-	if FormatCoalesce(rows) == "" {
-		t.Fatal("empty table")
-	}
-	// Non-chordal suites are skipped.
-	if got := RunCoalesce([]Suite{SuiteJVM98}); len(got) != 0 {
-		t.Fatalf("non-chordal suite not skipped: %+v", got)
-	}
-}

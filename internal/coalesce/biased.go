@@ -1,12 +1,11 @@
-// Biased assignment support: the clique-native (IFG-free) side of
-// coalescing. Instead of merging vertices of a materialized interference
-// graph, the fast path extracts φ/copy moves straight from the ir.Func,
-// groups copy-related values into affinity classes via union-find (refusing
-// interfering merges always, and colourability-threatening merges under the
-// Briggs criterion checked against clique-membership degrees), and hands the
-// resulting per-value class table to the tree-scan assigner as a register
-// preference: a value prefers the register its affine partners already hold,
-// when free — never at the cost of an extra spill.
+// Biased assignment: φ/copy moves are extracted straight from the ir.Func,
+// copy-related values are grouped into affinity classes via union-find
+// (refusing interfering merges always, and colourability-threatening merges
+// under the Briggs criterion checked against clique-membership degrees), and
+// the resulting per-value class table goes to the tree-scan assigner as a
+// register preference: a value prefers the register its affine partners
+// already hold, when free — never at the cost of an extra spill.
+
 package coalesce
 
 import (
@@ -18,9 +17,8 @@ import (
 )
 
 // VMove is one register-to-register copy at the value level: a φ operand
-// flowing across a CFG edge, or an explicit copy instruction. Unlike Move,
-// endpoints are value IDs, so no interference graph is needed to extract
-// them. Cost is the dynamic frequency of the move under the block-frequency
+// flowing across a CFG edge, or an explicit copy instruction. Endpoints are
+// value IDs, so no interference graph is needed to extract them. Cost is the dynamic frequency of the move under the block-frequency
 // model.
 type VMove struct {
 	Dst, Src int
@@ -143,12 +141,12 @@ func contains(sorted []int, x int) bool {
 
 // BuildAffinity groups the moves' endpoints into affinity classes over the
 // clique structure cs. Moves are processed in decreasing cost order (most
-// valuable merges first, matching Run). A merge is refused when any member
-// of one class interferes with any member of the other; under Conservative
-// it is additionally refused unless the Briggs criterion holds for the
-// merged class: fewer than r neighbours of significant (≥ r) post-merge
-// degree, with degrees read off the clique membership (no edges ever
-// materialized). Returns nil when policy is Off or no class forms.
+// valuable merges first). A merge is refused when any member of one class
+// interferes with any member of the other; under Conservative it is
+// additionally refused unless the Briggs criterion holds for the merged
+// class: fewer than r neighbours of significant (≥ r) post-merge degree,
+// with degrees read off the clique membership (no edges ever materialized).
+// Returns nil when policy is Off or no class forms.
 func BuildAffinity(cs *cliques.Structure, moves []VMove, policy Policy, r int, sc *BiasScratch) *Affinity {
 	if policy == Off || len(moves) == 0 || cs.N == 0 {
 		return nil

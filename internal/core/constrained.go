@@ -5,31 +5,26 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/alloc"
-	"repro/internal/alloc/layered"
-	"repro/internal/alloc/linearscan"
 	"repro/internal/arch"
-	"repro/internal/budget"
 	"repro/internal/cliques"
-	"repro/internal/coalesce"
 	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/raerr"
 	"repro/internal/regassign"
-	"repro/internal/spillcost"
 )
 
-// runConstrained is the machine-honoring pipeline: allocation under register
-// classes, pre-colored ABI values, and call-clobber sets.
+// Machine-constrained allocation: register classes, pre-colored ABI values,
+// and call-clobber sets.
 //
 // The decoupled framework survives the constraints almost intact. Spilling
 // stays a per-class pressure problem: the subgraph induced by one register
 // class is chordal again (induced subgraphs of chordal graphs are chordal,
 // and a subsequence of a perfect elimination order eliminates it perfectly),
 // so each class is allocated independently against its own capacity by the
-// same allocators as the fungible path. What the chordal model cannot
+// same allocators as an unconstrained run. What the chordal model cannot
 // express — a value that must hold one specific register, a register a call
-// destroys mid-range — is folded into three precomputed side inputs:
+// destroys mid-range — is folded into the constraint plan, three side
+// inputs computed before allocation:
 //
 //   - forced spills: values whose constraints admit no register at all (a
 //     pin clobbered by a spanned call, per-call per-class pressure above the
@@ -40,149 +35,111 @@ import (
 //     pre-colored value).
 //
 // Assignment then honors all three, and — because pins can still collide in
-// ways pressure numbers do not see — reports the first stuck value on
-// failure, which the driver force-spills before retrying (sound under
-// spill-everywhere, and bounded by the value count).
-func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
-	cons := cfg.Constraints
-	if err := cons.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
-	}
-	if cfg.LegacyIFG {
-		return nil, fmt.Errorf("%w: machine-constrained allocation has no explicit-graph path (unset LegacyIFG)",
-			raerr.ErrInvalidConfig)
-	}
-	var caps [ir.NumClasses]int
-	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		caps[c] = cons.Cap(c)
-		if caps[c] > 64 {
-			return nil, fmt.Errorf("%w: class %s capacity %d exceeds the constrained assigner's 64-register limit",
-				raerr.ErrInvalidConfig, c, caps[c])
-		}
-	}
-	dom, err := f.ValidateAnalyzed()
-	if err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "validate",
-			Err: fmt.Errorf("invalid input function: %w", err)}
-	}
+// ways pressure numbers do not see — force-spills the value the tree-scan
+// got stuck on and retries (see driver.assign).
+
+// plan is the constraint plan of a machine run. Its slices are reused
+// across a Runner's functions.
+type plan struct {
+	// pins[v] is v's pre-color or NoReg; nil when no value is pinned.
+	pins   []int
+	pinBuf []int
+	// forced marks the values no register can hold.
+	forced []bool
+	// forbid[v] is v's banned-index mask; anyBan reports a nonzero entry.
+	forbid []uint64
+	anyBan bool
+	spans  []callSpan
+}
+
+// admitMachine rejects functions a machine run cannot take: non-SSA input,
+// SSA the clique structure cannot model, and annotations the machine
+// cannot express.
+func admitMachine(f *ir.Func, dom *ir.Dominance, cons *arch.Constraints) error {
 	if !f.SSA {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-			Err: fmt.Errorf("%w: machine-constrained allocation requires strict SSA", raerr.ErrNotSSA)}
+		return fmt.Errorf("%w: machine-constrained allocation requires strict SSA", raerr.ErrNotSSA)
 	}
 	switch reason := cliques.Inapplicable(f, dom); reason {
 	case cliques.ReasonApplicable, cliques.ReasonConstrained:
 	default:
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-			Err: fmt.Errorf("%w: %s", raerr.ErrNotSSA, reason)}
+		return fmt.Errorf("%w: %s", raerr.ErrNotSSA, reason)
 	}
-	if err := checkMachineCompat(f, cons); err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain", Err: err}
-	}
+	return checkMachineCompat(f, cons)
+}
 
-	// Budget governance. The constrained ladder has no linear-scan rung —
-	// the interval scan is blind to pins and clobbers — so a trip anywhere
-	// degrades straight to the spill-all floor, which is trivially legal
-	// here too (the normal path already force-spills pinned values when
-	// their constraints admit no register).
-	m := budget.NewMeter(cfg.Budget)
-	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "admission", Err: be}
-		}
-		return spillAll(f, cfg, dom, nil, m, be)
-	}
-
-	f.ComputeLoops(dom)
-	m.SetStage(raerr.StageLiveness)
-	var info *liveness.Info
-	var csScratch *cliques.Scratch
-	if runner != nil {
-		info, err = runner.live.ComputeBudget(f, m)
-		csScratch = runner.cs
-	} else {
-		info, err = liveness.ComputeBudget(f, m)
-	}
-	if err != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageLiveness, Err: err}
-		}
-		return spillAll(f, cfg, dom, nil, m, m.BudgetErr())
-	}
-	var costs []float64
-	if runner != nil {
-		runner.costs = spillcost.CostsInto(runner.costs, f, cfg.CostModel)
-		costs = runner.costs
-	} else {
-		costs = spillcost.Costs(f, cfg.CostModel)
-	}
-
-	m.SetStage(raerr.StageCliques)
-	cs, derr := cliques.DeriveBudget(info, dom, csScratch, m)
-	if derr != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: derr}
-		}
-		return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-	}
-	if cs == nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-			Err: fmt.Errorf("%w: clique-structure derivation failed", raerr.ErrNotSSA)}
-	}
-
+// planConstraints computes the constraint plan of the run's function and
+// hands its pins and forbid masks to the register file.
+func (d *driver) planConstraints() {
+	f, info, costs, caps := d.f, d.info, d.costs, d.file.Caps
 	nv := f.NumValues
-	pins := make([]int, nv)
-	for i := range pins {
-		pins[i] = regassign.NoReg
+	pl := &d.runner.plan
+	pl.pins = nil
+	if len(f.PreColor) > 0 {
+		pl.pinBuf = cleared(pl.pinBuf, nv)
+		pl.pins = pl.pinBuf
+		for i := range pl.pins {
+			pl.pins[i] = regassign.NoReg
+		}
+		for v, pin := range f.PreColor {
+			pl.pins[v] = pin
+		}
 	}
-	for v, pin := range f.PreColor {
-		pins[v] = pin
-	}
-	forced := make([]bool, nv)
-	forbid := make([]uint64, nv)
-	callSpans := collectCallSpans(f, info)
-
-	// Pass 1 — a pre-colored value whose pin a spanned call clobbers cannot
-	// keep its register across that call: forced spill.
-	for _, span := range callSpans {
-		for _, v := range span.live {
-			if pin := pins[v]; pin != regassign.NoReg &&
-				span.clob[ir.RegClassOf(pin)]&(1<<uint(ir.RegIndexOf(pin))) != 0 {
-				forced[v] = true
-			}
+	pl.forced = cleared(pl.forced, nv)
+	pl.forbid = cleared(pl.forbid, nv)
+	pl.anyBan = false
+	pl.spans = collectCallSpans(f, info)
+	pins, forced := pl.pins, pl.forced
+	ban := func(v int, mask uint64) {
+		if mask != 0 {
+			pl.forbid[v] |= mask
+			pl.anyBan = true
 		}
 	}
 
-	// Pass 2 — pre-color interference. A pinned value owns its register for
-	// its whole live range, so every interfering value of the same class is
-	// banned from that index; two interfering values pinned to the same
-	// register are mutually exclusive, and the cheaper one spills. The
-	// program-point live sets cover every interference edge, so scanning
-	// points finds every such pair.
-	for pi := range info.Points {
-		live := info.Points[pi].Live
-		for _, pv := range live {
-			pin := pins[pv]
-			if pin == regassign.NoReg || forced[pv] {
-				continue
+	if pins != nil {
+		// Pass 1 — a pre-colored value whose pin a spanned call clobbers
+		// cannot keep its register across that call: forced spill.
+		for _, span := range pl.spans {
+			for _, v := range span.live {
+				if pin := pins[v]; pin != regassign.NoReg &&
+					span.clob[ir.RegClassOf(pin)]&(1<<uint(ir.RegIndexOf(pin))) != 0 {
+					forced[v] = true
+				}
 			}
-			c, idx := ir.RegClassOf(pin), ir.RegIndexOf(pin)
-			for _, v := range live {
-				if v == pv || f.ClassOf(v) != c {
+		}
+
+		// Pass 2 — pre-color interference. A pinned value owns its register
+		// for its whole live range, so every interfering value of the same
+		// class is banned from that index; two interfering values pinned to
+		// the same register are mutually exclusive, and the cheaper one
+		// spills. The program-point live sets cover every interference
+		// edge, so scanning points finds every such pair.
+		for pi := range info.Points {
+			live := info.Points[pi].Live
+			for _, pv := range live {
+				pin := pins[pv]
+				if pin == regassign.NoReg || forced[pv] {
 					continue
 				}
-				switch {
-				case pins[v] == pin && !forced[v]:
-					loser := v
-					if costs[pv] < costs[v] || (costs[pv] == costs[v] && pv > v) {
-						loser = pv
+				c, idx := ir.RegClassOf(pin), ir.RegIndexOf(pin)
+				for _, v := range live {
+					if v == pv || f.ClassOf(v) != c {
+						continue
 					}
-					forced[loser] = true
-				case pins[v] == regassign.NoReg:
-					forbid[v] |= 1 << uint(idx)
+					switch {
+					case pins[v] == pin && !forced[v]:
+						loser := v
+						if costs[pv] < costs[v] || (costs[pv] == costs[v] && pv > v) {
+							loser = pv
+						}
+						forced[loser] = true
+					case pins[v] == regassign.NoReg:
+						ban(v, 1<<uint(idx))
+					}
 				}
-			}
-			if forced[pv] {
-				break // lost its pin above; it bans nothing anymore
+				if forced[pv] {
+					break // lost its pin above; it bans nothing anymore
+				}
 			}
 		}
 	}
@@ -190,7 +147,7 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	// Pass 3 — per-call class pressure. A call leaves cap − |clobbered ∩
 	// [0,cap)| registers of each class for the values that live through it;
 	// beyond that the cheapest survivors spill.
-	for _, span := range callSpans {
+	for _, span := range pl.spans {
 		var cnt [ir.NumClasses]int
 		var byClass [ir.NumClasses][]int
 		for _, v := range span.live {
@@ -221,214 +178,44 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	// Pass 4 — clobber avoidance for the surviving spanning values, then a
 	// final sweep for values whose accumulated bans (e.g. the union of two
 	// calls' disjoint clobber sets) cover the whole class.
-	for _, span := range callSpans {
+	for _, span := range pl.spans {
 		for _, v := range span.live {
 			if !forced[v] {
-				forbid[v] |= span.clob[f.ClassOf(v)]
+				ban(v, span.clob[f.ClassOf(v)])
 			}
 		}
 	}
-	for v := 0; v < nv; v++ {
-		if forced[v] || cs.VertexOf[v] < 0 || pins[v] != regassign.NoReg {
-			continue
-		}
-		if ^forbid[v]&capMask(caps[f.ClassOf(v)]) == 0 {
-			forced[v] = true
-		}
-	}
-
-	// Spilling: one chordal subproblem per register class, each against its
-	// own capacity, solved by the same allocator the fungible path would use.
-	a := cfg.Allocator
-	if a == nil {
-		if runner != nil {
-			a = runner.defaultChordal
-		} else {
-			a = layered.BFPL()
-		}
-	}
-	allocatedVals := make([]bool, nv)
-	include := make([]bool, nv)
-	m.SetStage(raerr.StageAllocate)
-	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		if caps[c] == 0 {
-			continue // compat check: no value has this class
-		}
-		// One charge per class pass covers the include-mask sweep and the
-		// subset derivation; the allocator itself charges per layer.
-		if !m.Charge(nv) {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-		}
-		any := false
-		for v := range include {
-			inc := cs.VertexOf[v] >= 0 && !forced[v] && f.ClassOf(v) == c
-			include[v] = inc
-			any = any || inc
-		}
-		if !any {
-			continue
-		}
-		sub := cliques.DeriveSubset(info, dom, include, csScratch)
-		if sub == nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-				Err: fmt.Errorf("%w: per-class clique derivation failed for %s", raerr.ErrNotSSA, c)}
-		}
-		p := alloc.BuildProblem(alloc.Spec{Cliques: sub, Costs: costs, R: caps[c]})
-		p.Intervals = linearscan.IntervalsFromLiveness(info, sub.VertexOf, sub.N)
-		p.Meter = m
-		res := a.Allocate(p)
-		p.Meter = nil
-		if res == nil || len(res.Allocated) != p.N() {
-			got := -1
-			if res != nil {
-				got = len(res.Allocated)
-			}
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-				Err: fmt.Errorf("allocator %s returned a malformed result: %d of %d vertices covered",
-					a.Name(), got, p.N())}
-		}
-		if err := p.Validate(res); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-				Err: fmt.Errorf("%w: allocator %s returned an invalid %s allocation: %w",
-					raerr.ErrPressureUnsatisfiable, a.Name(), c, err)}
-		}
-		for vx, al := range res.Allocated {
-			if al {
-				allocatedVals[sub.ValueOf[vx]] = true
-			}
-		}
-	}
-	if m.Exceeded() || !m.CheckNow() {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
-		}
-		return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-	}
-
-	// Assignment with the force-spill retry loop, before the Outcome's spill
-	// bookkeeping (a retry shrinks the allocated set).
-	var regOf []int
-	var coalStats *coalesce.Stats
-	if !cfg.SkipRewrite {
-		// Coalescing bias, built per register class against the class
-		// capacity (endpoints of different classes can never share a
-		// register). Pins seed the class hints, so copy chains rooted at an
-		// ABI register chase the pin.
-		var bias *regassign.Bias
-		var moves []coalesce.VMove
-		var aff *coalesce.Affinity
-		if cfg.Coalescing != coalesce.Off {
-			moves = coalesce.MovesFromFunc(f, cfg.CostModel)
-			if len(moves) > 0 {
-				var sc *coalesce.BiasScratch
-				if runner != nil {
-					if runner.bias == nil {
-						runner.bias = &coalesce.BiasScratch{}
-					}
-					sc = runner.bias
-				}
-				aff = coalesce.BuildAffinityConstrained(cs, f, moves, cfg.Coalescing, caps, sc)
-				if aff != nil {
-					bias = regassign.NewBias(aff.ClassOf, aff.NumClasses)
-				}
-			}
-		}
-		m.SetStage(raerr.StageAssign)
-		for tries := 0; ; tries++ {
-			// The constrained assigner is not internally metered; one charge
-			// per attempt bounds the O(V) force-spill retry loop.
-			if !m.Charge(nv) {
-				if !cfg.Degrade {
-					return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: m.Err()}
-				}
-				return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-			}
-			r, failVal, aerr := regassign.AssignConstrainedBiased(f, dom, info, allocatedVals, caps, pins, forbid, bias)
-			if aerr == nil {
-				regOf = r
-				break
-			}
-			if bias != nil {
-				// Bias must never cost a spill: pin collisions can make a
-				// hint-following scan fail where the lowest-admissible one
-				// succeeds, so the first failed biased attempt retries
-				// unbiased — before any force-spill — keeping the spill set
-				// identical to the unbiased pipeline's.
-				bias = nil
+	if pl.anyBan {
+		for v := 0; v < nv; v++ {
+			if forced[v] || d.cs.VertexOf[v] < 0 || (pins != nil && pins[v] != regassign.NoReg) {
 				continue
 			}
-			if failVal < 0 || failVal >= nv || !allocatedVals[failVal] || tries >= nv {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-					Err: fmt.Errorf("%w: constrained assignment failed: %w",
-						raerr.ErrPressureUnsatisfiable, aerr)}
-			}
-			allocatedVals[failVal] = false
-		}
-		if cfg.Coalescing != coalesce.Off {
-			coalStats = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
-		}
-		if err := regassign.VerifyAssignment(info, allocatedVals, regOf); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-				Err: fmt.Errorf("assignment verification failed: %w", err)}
-		}
-		if err := regassign.VerifyClassAssignment(f, allocatedVals, regOf, caps); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-				Err: fmt.Errorf("assignment verification failed: %w", err)}
-		}
-		for _, span := range callSpans {
-			for _, v := range span.live {
-				if allocatedVals[v] && regOf[v] != regassign.NoReg &&
-					span.clob[ir.RegClassOf(regOf[v])]&(1<<uint(ir.RegIndexOf(regOf[v]))) != 0 {
-					return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-						Err: fmt.Errorf("value %s holds caller-saved %s across a clobbering call",
-							f.NameOf(v), ir.RegName(regOf[v]))}
-				}
+			if ^pl.forbid[v]&capMask(caps[f.ClassOf(v)]) == 0 {
+				forced[v] = true
 			}
 		}
+		d.file.Forbid = pl.forbid
 	}
+	d.plan = pl
+	d.file.Pins = pins
+}
 
-	merged := &alloc.Result{Allocated: make([]bool, cs.N), Allocator: a.Name()}
-	for vx := range merged.Allocated {
-		merged.Allocated[vx] = allocatedVals[cs.ValueOf[vx]]
+// verify checks the class-and-pin half of a machine assignment, and that
+// no value holds a caller-saved register across a call that clobbers it.
+func (pl *plan) verify(f *ir.Func, allocatedVals []bool, regOf []int, caps [ir.NumClasses]int) error {
+	if err := regassign.VerifyClassAssignment(f, allocatedVals, regOf, caps); err != nil {
+		return fmt.Errorf("assignment verification failed: %w", err)
 	}
-	pFull := alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers, Constraints: cons})
-	pFull.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
-	if err := pFull.Validate(merged); err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-			Err: fmt.Errorf("%w: merged constrained allocation invalid: %w",
-				raerr.ErrPressureUnsatisfiable, err)}
-	}
-	out := &Outcome{
-		F: f, Cliques: cs, Problem: pFull, Result: merged,
-		VertexOf: cs.VertexOf, ValueOf: cs.ValueOf, MaxLive: cs.MaxLive,
-		SpillCost: merged.SpillCost(pFull),
-	}
-	for vx, al := range merged.Allocated {
-		if !al {
-			out.SpilledValues = append(out.SpilledValues, cs.ValueOf[vx])
-		}
-	}
-
-	if !cfg.SkipRewrite {
-		out.RegisterOf = regOf
-		out.Coalesce = coalStats
-		spilledVals := make([]bool, nv)
-		for _, v := range out.SpilledValues {
-			spilledVals[v] = true
-		}
-		out.Rewritten = regassign.InsertSpillCode(f, spilledVals)
-		if len(out.SpilledValues) > 0 {
-			if err := out.Rewritten.Validate(); err != nil {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-					Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
+	for _, span := range pl.spans {
+		for _, v := range span.live {
+			if allocatedVals[v] && regOf[v] != regassign.NoReg &&
+				span.clob[ir.RegClassOf(regOf[v])]&(1<<uint(ir.RegIndexOf(regOf[v]))) != 0 {
+				return fmt.Errorf("value %s holds caller-saved %s across a clobbering call",
+					f.NameOf(v), ir.RegName(regOf[v]))
 			}
 		}
 	}
-	out.BudgetSpent = m.Spent()
-	return out, nil
+	return nil
 }
 
 // checkMachineCompat rejects annotations the machine cannot express: a value
@@ -489,4 +276,15 @@ func capMask(cap int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(cap) - 1
+}
+
+// cleared returns s resized to n with every element zeroed, reusing its
+// storage when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -12,15 +12,18 @@
 //	// out.RegisterOf: concrete register per value (SSA functions)
 //	// out.Rewritten: the function with spill/reload code inserted
 //
-// Two interference representations back the pipeline. Strict-SSA functions
-// take the IFG-free fast path: the clique structure the layered allocators
-// need (live sets, def-point cliques, dominance elimination order) is
-// derived straight from liveness by internal/cliques, and no interference
-// graph is ever materialized unless an edge-based allocator (GC, Optimal,
-// LH) asks for one. Non-SSA functions — and SSA functions with non-inert
-// unreachable code, or any run with Config.LegacyIFG — build the explicit
-// graph via internal/ifg as before. Both paths produce identical
-// allocations (pinned by TestFastPathMatchesIFGPath).
+// One driver runs every function. Strict-SSA functions take the IFG-free
+// fast path: the clique structure the layered allocators need (live sets,
+// def-point cliques, dominance elimination order) is derived straight from
+// liveness by internal/cliques, and no interference graph is ever
+// materialized unless an edge-based allocator (GC, Optimal, LH) asks for
+// one. Allocation is per register class: an unconstrained run is the
+// machine with one class of R registers, no pins and no clobbers; a
+// machine (Config.Constraints) adds classes, pre-colored values and call
+// clobbers through a constraint plan (constrained.go). Non-SSA functions,
+// and SSA functions with non-inert unreachable code, build the explicit
+// graph via internal/ifg instead; both interference representations give
+// identical allocations (pinned by TestFastPathMatchesIFGPath).
 //
 // Lower-level control (custom cost models, direct graph problems) is
 // available from the internal packages this one composes: alloc, cliques,
@@ -60,10 +63,6 @@ type Config struct {
 	// SkipRewrite disables spill-code insertion and register assignment
 	// (allocation decisions only).
 	SkipRewrite bool
-	// LegacyIFG forces the explicit interference-graph path even for
-	// functions eligible for the IFG-free fast path. Diagnostics and the
-	// fast-path differential tests only; results are identical either way.
-	LegacyIFG bool
 	// TrustedCostModel skips the per-function CostModel validation. Batch
 	// drivers that validate the model once per module set this; leave it
 	// false everywhere else.
@@ -72,7 +71,7 @@ type Config struct {
 	// allocation: values are allocated per register class against the
 	// machine's class capacities, pre-colored values keep their ABI register,
 	// and values live across clobbering calls avoid (or spill around) the
-	// caller-saved registers. Requires strict SSA; see runConstrained.
+	// caller-saved registers. Requires strict SSA; see constrained.go.
 	Constraints *arch.Constraints
 	// Budget, when Active, bounds the run's resources: a wall-clock
 	// deadline, a work-step budget charged cooperatively at analysis
@@ -90,8 +89,7 @@ type Config struct {
 	// partner's register when it is free — never at the cost of an extra
 	// spill, and never changing which values are allocated. The zero value
 	// (coalesce.Off) reproduces the unbiased pipeline byte-for-byte.
-	// Incompatible with LegacyIFG; no-op for non-SSA functions and on
-	// degraded rungs.
+	// No-op on the explicit-graph path and on degraded rungs.
 	Coalescing coalesce.Policy
 	// Degrade converts a budget trip into a degraded-but-correct Outcome
 	// instead of an error: the run falls down the ladder
@@ -170,10 +168,10 @@ type Outcome struct {
 
 // Runner executes the pipeline repeatedly, reusing the analysis scratch
 // memory (liveness bitsets, clique-structure transients, assignment and
-// rewrite scratch) across functions instead of reallocating it per call —
-// the batch pipeline gives each worker one Runner. Outcomes never reference
-// scratch memory, so they stay valid across subsequent Run calls; a Runner
-// is not safe for concurrent use.
+// rewrite scratch, constraint-plan slices) across functions instead of
+// reallocating it per call — the batch pipeline gives each worker one
+// Runner. Outcomes never reference scratch memory, so they stay valid
+// across subsequent Run calls; a Runner is not safe for concurrent use.
 type Runner struct {
 	live *liveness.Scratch
 	cs   *cliques.Scratch
@@ -183,14 +181,18 @@ type Runner struct {
 	// Runner rather than once per function.
 	defaultChordal alloc.Allocator
 	defaultGeneral alloc.Allocator
-	// Reusable value-indexed flag slices for the rewrite stage.
+	// Reusable value-indexed flag slices: allocated and spilled values, and
+	// the per-class include mask of a machine run.
 	allocatedVals []bool
 	spilledVals   []bool
+	include       []bool
 	// Reusable spill-cost vector (BuildProblem copies what it keeps, so
 	// the buffer never escapes into an Outcome).
 	costs []float64
 	// Affinity-construction scratch for coalescing-biased assignment.
-	bias *coalesce.BiasScratch
+	bias coalesce.BiasScratch
+	// Constraint-plan slices of machine runs.
+	plan plan
 }
 
 // NewRunner returns a Runner with empty scratch.
@@ -207,118 +209,256 @@ func NewRunner() *Runner {
 // Run executes the decoupled register-allocation pipeline on f, reusing the
 // runner's scratch.
 func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
-	return run(f, cfg, r)
+	return run(f, cfg, r, false)
 }
 
-// Run executes the decoupled register-allocation pipeline on f.
+// Run executes the decoupled register-allocation pipeline on f with fresh
+// scratch.
 func Run(f *ir.Func, cfg Config) (*Outcome, error) {
-	return run(f, cfg, nil)
+	return run(f, cfg, NewRunner(), false)
 }
 
-func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
-	if cfg.Registers < 1 {
-		return nil, fmt.Errorf("%w: Registers must be ≥ 1, got %d", raerr.ErrInvalidConfig, cfg.Registers)
+// driver is the state of one run: its inputs and what each stage leaves
+// for the next.
+type driver struct {
+	f      *ir.Func
+	cfg    Config
+	runner *Runner
+	m      *budget.Meter
+	dom    *ir.Dominance
+	info   *liveness.Info
+	costs  []float64
+	// Interference: the clique structure, or the explicit graph.
+	cs    *cliques.Structure
+	build *ifg.Build
+	// file is the register file: one class of R registers for an
+	// unconstrained run, the machine's classes otherwise; plan is nil on
+	// an unconstrained run.
+	file regassign.File
+	plan *plan
+}
+
+// run is the one driver. A function goes through validate → admission →
+// loops → liveness → costs → cliques → constraint plan → allocate per class
+// → assign → verify → rewrite. An unconstrained run is the one-class
+// machine: a single class of R registers, no pins and no clobbers, so it
+// has no plan and its one class allocates on the full interference
+// structure. Only unconstrained runs take the explicit-graph path (non-SSA
+// functions, SSA functions cliques.Applicable rejects, or explicitGraph —
+// the hook the fast-path differential test uses) and the linear-scan
+// degradation rung.
+func run(f *ir.Func, cfg Config, runner *Runner, explicitGraph bool) (*Outcome, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
-	if !cfg.TrustedCostModel {
-		if err := cfg.CostModel.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: invalid cost model: %w", raerr.ErrInvalidConfig, err)
+	d := driver{f: f, cfg: cfg, runner: runner, file: regassign.Flat(cfg.Registers)}
+	cons := cfg.Constraints
+	if cons != nil {
+		d.file.Classed = true
+		for c := ir.Class(0); c < ir.NumClasses; c++ {
+			d.file.Caps[c] = cons.Cap(c)
 		}
 	}
-	if cfg.Coalescing != coalesce.Off {
-		if !cfg.Coalescing.Valid() {
-			return nil, fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
-		}
-		if cfg.LegacyIFG {
-			return nil, fmt.Errorf("%w: coalescing-biased assignment requires the IFG-free fast path (unset LegacyIFG)",
-				raerr.ErrInvalidConfig)
-		}
-	}
-	if cfg.Constraints != nil {
-		return runConstrained(f, cfg, runner)
-	}
-	dom, err := f.ValidateAnalyzed()
+	var err error
+	d.dom, err = f.ValidateAnalyzed()
 	if err != nil {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "validate",
 			Err: fmt.Errorf("invalid input function: %w", err)}
 	}
-	m := budget.NewMeter(cfg.Budget)
+	if cons != nil {
+		if err := admitMachine(f, d.dom, cons); err != nil {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain", Err: err}
+		}
+	}
+	d.m = budget.NewMeter(cfg.Budget)
 	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
 		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "admission", Err: be}
+			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAdmission, Err: be}
 		}
-		return spillAll(f, cfg, dom, nil, m, be)
+		return d.spillAll(be)
 	}
-	f.ComputeLoops(dom)
-	m.SetStage(raerr.StageLiveness)
-	var info *liveness.Info
-	if runner != nil {
-		info, err = runner.live.ComputeBudget(f, m)
-	} else {
-		info, err = liveness.ComputeBudget(f, m)
+	f.ComputeLoops(d.dom)
+	d.m.SetStage(raerr.StageLiveness)
+	if d.info, err = runner.live.ComputeBudget(f, d.m); err != nil {
+		d.info = nil // the floor reports no pressure without liveness
+		return d.trip(raerr.StageLiveness, err)
 	}
-	if err != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageLiveness, Err: err}
-		}
-		return spillAll(f, cfg, dom, nil, m, m.BudgetErr())
-	}
-	var costs []float64
-	if runner != nil {
-		runner.costs = spillcost.CostsInto(runner.costs, f, cfg.CostModel)
-		costs = runner.costs
-	} else {
-		costs = spillcost.Costs(f, cfg.CostModel)
-	}
+	runner.costs = spillcost.CostsInto(runner.costs, f, cfg.CostModel)
+	d.costs = runner.costs
 
 	// Interference analysis: clique structure straight from liveness for
 	// strict SSA (the fast path), explicit graph otherwise.
-	var build *ifg.Build
-	var cs *cliques.Structure
-	var p *alloc.Problem
-	m.SetStage(raerr.StageCliques)
-	if !cfg.LegacyIFG && cliques.Applicable(f, dom) {
-		var scratch *cliques.Scratch
-		if runner != nil {
-			scratch = runner.cs
-		}
-		cs, err = cliques.DeriveBudget(info, dom, scratch, m)
-		if err != nil {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: err}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
+	d.m.SetStage(raerr.StageCliques)
+	if !explicitGraph && cliques.Applicable(f, d.dom) {
+		if d.cs, err = cliques.DeriveBudget(d.info, d.dom, runner.cs, d.m); err != nil {
+			return d.trip(raerr.StageCliques, err)
 		}
 	}
-	if cs != nil {
-		p = alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers})
-		p.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
-	} else {
+	switch {
+	case d.cs != nil:
+	case cons != nil:
+		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
+			Err: fmt.Errorf("%w: clique-structure derivation failed", raerr.ErrNotSSA)}
+	default:
 		// The explicit-graph build has no internal metering; the stage
 		// boundary's forced clock check keeps a deadline honest here.
-		if !m.CheckNow() {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: m.Err()}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
+		if !d.m.CheckNow() {
+			return d.trip(raerr.StageCliques, d.m.Err())
 		}
-		build = ifg.FromLiveness(info)
-		p = alloc.BuildProblem(alloc.Spec{Build: build, Costs: costs, R: cfg.Registers, Dom: dom})
-		p.Intervals = linearscan.BuildIntervals(info, build)
+		d.build = ifg.FromLiveness(d.info)
 	}
 
-	a := cfg.Allocator
-	if a == nil {
-		switch {
-		case p.Chordal && runner != nil:
-			a = runner.defaultChordal
-		case p.Chordal:
-			a = layered.BFPL()
-		case runner != nil:
-			a = runner.defaultGeneral
-		default:
-			a = layered.NewLH()
+	if cons != nil {
+		d.planConstraints()
+	}
+
+	d.m.SetStage(raerr.StageAllocate)
+	p, res, ferr := d.allocateClasses()
+	if ferr != nil {
+		return nil, ferr
+	}
+	// A metered allocator stopped at a charge boundary (its partial result
+	// is valid but incomplete); an un-metered one is caught by the clock.
+	if d.m.Exceeded() || !d.m.CheckNow() {
+		if !cfg.Degrade {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: d.m.Err()}
+		}
+		return d.linearScanRung(p)
+	}
+	out, ferr := d.finish(p, res, d.m, nil)
+	if ferr != nil {
+		if d.m.Exceeded() && cfg.Degrade {
+			return d.linearScanRung(p)
+		}
+		return nil, ferr
+	}
+	out.BudgetSpent = d.m.Spent()
+	return out, nil
+}
+
+// problem builds the allocation problem over the run's whole interference
+// structure with r registers.
+func (d *driver) problem(r int, cons *arch.Constraints) *alloc.Problem {
+	if d.cs != nil {
+		p := alloc.BuildProblem(alloc.Spec{Cliques: d.cs, Costs: d.costs, R: r, Constraints: cons})
+		p.Intervals = linearscan.IntervalsFromLiveness(d.info, d.cs.VertexOf, d.cs.N)
+		return p
+	}
+	p := alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: d.costs, R: r, Dom: d.dom})
+	p.Intervals = linearscan.BuildIntervals(d.info, d.build)
+	return p
+}
+
+// allocateClasses allocates every register class against its capacity.
+// The one class of an unconstrained run allocates on the whole
+// interference structure, and that problem and result are the outcome's. A
+// machine's classes each allocate on the chordal subproblem their unforced
+// values induce, solved by the same allocator; the results merge into the
+// runner's allocated-value flags, and the returned problem is nil (finish
+// builds the merged one). A budget trip returns early with no error; the
+// caller sees it on the meter.
+func (d *driver) allocateClasses() (*alloc.Problem, *alloc.Result, error) {
+	if d.plan == nil {
+		p := d.problem(d.cfg.Registers, nil)
+		res, err := d.allocate(d.allocator(p.Chordal), p, ir.ClassGPR)
+		return p, res, err
+	}
+	f, m, cs, r := d.f, d.m, d.cs, d.runner
+	nv := f.NumValues
+	a := d.allocator(true)
+	r.allocatedVals = cleared(r.allocatedVals, nv)
+	r.include = cleared(r.include, nv)
+	merged := &alloc.Result{Allocator: a.Name()}
+	for c := ir.Class(0); c < ir.NumClasses; c++ {
+		if d.file.Caps[c] == 0 {
+			continue // compat check: no value has this class
+		}
+		// One charge per class pass covers the include-mask sweep and the
+		// subset derivation; the allocator itself charges per layer.
+		if !m.Charge(nv) {
+			return nil, merged, nil
+		}
+		any := false
+		for v := range r.include {
+			inc := cs.VertexOf[v] >= 0 && !d.plan.forced[v] && f.ClassOf(v) == c
+			r.include[v] = inc
+			any = any || inc
+		}
+		if !any {
+			continue
+		}
+		sub := cliques.DeriveSubset(d.info, d.dom, r.include, r.cs)
+		if sub == nil {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
+				Err: fmt.Errorf("%w: per-class clique derivation failed for %s", raerr.ErrNotSSA, c)}
+		}
+		p := alloc.BuildProblem(alloc.Spec{Cliques: sub, Costs: d.costs, R: d.file.Caps[c]})
+		p.Intervals = linearscan.IntervalsFromLiveness(d.info, sub.VertexOf, sub.N)
+		res, ferr := d.allocate(a, p, c)
+		if ferr != nil {
+			return nil, nil, ferr
+		}
+		for vx, al := range res.Allocated {
+			if al {
+				r.allocatedVals[sub.ValueOf[vx]] = true
+			}
 		}
 	}
+	return nil, merged, nil
+}
+
+// checkConfig validates the run configuration before any function work.
+func checkConfig(cfg Config) error {
+	if cfg.Registers < 1 {
+		return fmt.Errorf("%w: Registers must be ≥ 1, got %d", raerr.ErrInvalidConfig, cfg.Registers)
+	}
+	if !cfg.TrustedCostModel {
+		if err := cfg.CostModel.Validate(); err != nil {
+			return fmt.Errorf("%w: invalid cost model: %w", raerr.ErrInvalidConfig, err)
+		}
+	}
+	if !cfg.Coalescing.Valid() {
+		return fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
+	}
+	if cons := cfg.Constraints; cons != nil {
+		if err := cons.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
+		}
+		for c := ir.Class(0); c < ir.NumClasses; c++ {
+			if cons.Cap(c) > 64 {
+				return fmt.Errorf("%w: class %s capacity %d exceeds the constrained assigner's 64-register limit",
+					raerr.ErrInvalidConfig, c, cons.Cap(c))
+			}
+		}
+	}
+	return nil
+}
+
+// trip handles a budget trip at a stage before allocation: an error, or
+// with Degrade the spill-all floor.
+func (d *driver) trip(stage string, err error) (*Outcome, error) {
+	if !d.cfg.Degrade {
+		return nil, &raerr.FuncError{Func: d.f.Name, Stage: stage, Err: err}
+	}
+	return d.spillAll(d.m.BudgetErr())
+}
+
+// allocator resolves the configured allocator, or the default: BFPL on
+// chordal problems, LH otherwise.
+func (d *driver) allocator(chordal bool) alloc.Allocator {
+	if d.cfg.Allocator != nil {
+		return d.cfg.Allocator
+	}
+	if chordal {
+		return d.runner.defaultChordal
+	}
+	return d.runner.defaultGeneral
+}
+
+// allocate runs a on p, the problem of register class c, under the run
+// meter and checks the result.
+func (d *driver) allocate(a alloc.Allocator, p *alloc.Problem, c ir.Class) (*alloc.Result, error) {
+	f := d.f
 	if !p.Chordal && alloc.ChordalOnly(a.Name()) {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
 			Err: fmt.Errorf("%w: allocator %s requires a chordal (strict-SSA) instance",
@@ -332,8 +472,7 @@ func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate", Err: err}
 		}
 	}
-	m.SetStage(raerr.StageAllocate)
-	p.Meter = m
+	p.Meter = d.m
 	res := a.Allocate(p)
 	p.Meter = nil
 	// A structurally malformed result (custom allocators) is a contract
@@ -348,35 +487,188 @@ func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 				a.Name(), got, p.N())}
 	}
 	if err := p.Validate(res); err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-			Err: fmt.Errorf("%w: allocator %s returned an invalid allocation: %w",
-				raerr.ErrPressureUnsatisfiable, a.Name(), err)}
-	}
-	// A metered allocator stopped at a charge boundary (its partial result
-	// is valid but incomplete); an un-metered one is caught by the clock.
-	if m.Exceeded() || !m.CheckNow() {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
+		what := "allocation"
+		if d.plan != nil {
+			what = c.String() + " allocation"
 		}
-		return linearScanRung(f, cfg, runner, dom, info, build, cs, p, m)
+		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
+			Err: fmt.Errorf("%w: allocator %s returned an invalid %s: %w",
+				raerr.ErrPressureUnsatisfiable, a.Name(), what, err)}
 	}
+	return res, nil
+}
 
-	out := outcomeFrom(f, build, cs, p, res)
-	if !cfg.SkipRewrite && f.SSA && p.Chordal {
-		m.SetStage(raerr.StageAssign)
-		if ferr := assignAndRewrite(out, f, cfg, dom, info, runner, m); ferr != nil {
-			if m.Exceeded() && cfg.Degrade {
-				return linearScanRung(f, cfg, runner, dom, info, build, cs, p, m)
+// finish assigns registers (unless the run skips the rewrite), assembles
+// the Outcome of allocation res on problem p and inserts the spill code,
+// charging meter (the run meter or a rung's). A machine run passes no
+// problem and an empty res, filled here from the allocated-value flags
+// after the assigner's force-spills. On failure the returned error is a
+// ready-to-surface *raerr.FuncError; a budget trip is detectable on the
+// meter itself.
+func (d *driver) finish(p *alloc.Problem, res *alloc.Result, meter *budget.Meter, degraded *Degradation) (*Outcome, error) {
+	f, cfg := d.f, d.cfg
+	if d.plan != nil {
+		// The outcome's problem spans every class; its allocation is the
+		// per-class results merged, minus the assigner's force-spills.
+		p = d.problem(cfg.Registers, cfg.Constraints)
+	}
+	rewrite := !cfg.SkipRewrite && f.SSA && p.Chordal
+	if rewrite && d.plan == nil {
+		d.runner.allocatedVals = cleared(d.runner.allocatedVals, f.NumValues)
+		valueOf := d.valueOf()
+		for vx, al := range res.Allocated {
+			if al {
+				d.runner.allocatedVals[valueOf[vx]] = true
 			}
+		}
+	}
+	allocatedVals := d.runner.allocatedVals
+	var regOf []int
+	var coal *coalesce.Stats
+	if rewrite {
+		meter.SetStage(raerr.StageAssign)
+		var ferr error
+		if regOf, coal, ferr = d.assign(allocatedVals, meter, degraded == nil); ferr != nil {
 			return nil, ferr
 		}
 	}
-	out.BudgetSpent = m.Spent()
+	if d.plan != nil {
+		res.Allocated = make([]bool, d.cs.N)
+		for vx := range res.Allocated {
+			res.Allocated[vx] = allocatedVals[d.cs.ValueOf[vx]]
+		}
+		if err := p.Validate(res); err != nil {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
+				Err: fmt.Errorf("%w: merged constrained allocation invalid: %w",
+					raerr.ErrPressureUnsatisfiable, err)}
+		}
+	}
+	out := outcomeFrom(f, d.build, d.cs, p, res)
+	out.Degraded = degraded
+	if !rewrite {
+		return out, nil
+	}
+	out.RegisterOf = regOf
+	out.Coalesce = coal
+	d.runner.spilledVals = cleared(d.runner.spilledVals, f.NumValues)
+	spilledVals := d.runner.spilledVals
+	for _, v := range out.SpilledValues {
+		spilledVals[v] = true
+	}
+	out.Rewritten = regassign.InsertSpillCode(f, spilledVals)
+	if len(out.SpilledValues) > 0 {
+		// With no spills the rewrite is a plain clone of the function
+		// validated above; re-validating it would just recompute
+		// dominance for nothing.
+		if err := out.Rewritten.Validate(); err != nil {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
+				Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
+		}
+	}
 	return out, nil
 }
 
-// outcomeFrom assembles the Outcome common to every ladder rung: problem,
-// result, vertex maps, spilled-value list and spill cost.
+// valueOf is the vertex → value map of the run's interference structure.
+func (d *driver) valueOf() []int {
+	if d.cs != nil {
+		return d.cs.ValueOf
+	}
+	return d.build.ValueOf
+}
+
+// assign runs the tree-scan on the allocated values, verifies the result,
+// and reports the coalescing statistics when biased assignment ran. With
+// bias false (degraded rungs) the scan is unbiased: a budget-tripped run
+// should not buy move quality with extra analysis. Bias never changes the
+// allocated set, so the spill decisions are untouched either way.
+//
+// A machine run may force-spill: pins and bans can leave a value with no
+// admissible register even at legal pressure, so the value the scan got
+// stuck on is spilled (always sound under spill-everywhere) and the scan
+// retried, each attempt charging the value count. The one class of an
+// unconstrained run never gets stuck at legal pressure; its scan charges
+// per block instead.
+func (d *driver) assign(allocatedVals []bool, meter *budget.Meter, bias bool) ([]int, *coalesce.Stats, error) {
+	f, cfg := d.f, d.cfg
+	biased := bias && cfg.Coalescing != coalesce.Off && d.cs != nil
+	var rb *regassign.Bias
+	var moves []coalesce.VMove
+	var aff *coalesce.Affinity
+	if biased {
+		// φ/copy moves and affinity classes come straight from the function
+		// and the clique structure — no IFG. A machine builds them per
+		// register class against the class capacity (endpoints of different
+		// classes can never share a register).
+		moves = coalesce.MovesFromFunc(f, cfg.CostModel)
+		if len(moves) > 0 {
+			sc := &d.runner.bias
+			if d.plan != nil {
+				aff = coalesce.BuildAffinityConstrained(d.cs, f, moves, cfg.Coalescing, d.file.Caps, sc)
+			} else {
+				aff = coalesce.BuildAffinity(d.cs, moves, cfg.Coalescing, cfg.Registers, sc)
+			}
+			if aff != nil {
+				rb = regassign.NewBias(aff.ClassOf, aff.NumClasses)
+			}
+		}
+	}
+	scanMeter := meter
+	if d.plan != nil {
+		scanMeter = nil
+	}
+	nv := f.NumValues
+	var regOf []int
+	for tries := 0; ; tries++ {
+		if d.plan != nil && !meter.Charge(nv) {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: meter.Err()}
+		}
+		r, failVal, err := regassign.TreeScan(f, d.dom, d.info, allocatedVals, d.file, d.runner.ra, scanMeter, rb)
+		if err == nil {
+			regOf = r
+			break
+		}
+		if meter.Exceeded() {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: err}
+		}
+		if d.plan == nil {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
+				Err: fmt.Errorf("%w: assignment after allocation failed: %w",
+					raerr.ErrPressureUnsatisfiable, err)}
+		}
+		if rb != nil {
+			// Bias must never cost a spill: pin collisions can make a
+			// hint-following scan fail where the lowest-admissible one
+			// succeeds, so the first failed biased attempt retries
+			// unbiased — before any force-spill — keeping the spill set
+			// identical to the unbiased pipeline's.
+			rb = nil
+			continue
+		}
+		if failVal < 0 || failVal >= nv || !allocatedVals[failVal] || tries >= nv {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
+				Err: fmt.Errorf("%w: constrained assignment failed: %w",
+					raerr.ErrPressureUnsatisfiable, err)}
+		}
+		allocatedVals[failVal] = false
+	}
+	if err := regassign.VerifyAssignment(d.info, allocatedVals, regOf); err != nil {
+		return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
+			Err: fmt.Errorf("assignment verification failed: %w", err)}
+	}
+	if d.plan != nil {
+		if err := d.plan.verify(f, allocatedVals, regOf, d.file.Caps); err != nil {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign", Err: err}
+		}
+	}
+	var stats *coalesce.Stats
+	if biased {
+		stats = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
+	}
+	return regOf, stats, nil
+}
+
+// outcomeFrom assembles the Outcome of allocation res on problem p:
+// vertex maps, spilled-value list, spill cost and pressure.
 func outcomeFrom(f *ir.Func, build *ifg.Build, cs *cliques.Structure, p *alloc.Problem, res *alloc.Result) *Outcome {
 	out := &Outcome{
 		F:         f,
@@ -411,99 +703,20 @@ func outcomeFrom(f *ir.Func, build *ifg.Build, cs *cliques.Structure, p *alloc.P
 	return out
 }
 
-// assignAndRewrite runs tree-scan assignment, assignment verification and
-// spill-code insertion for an SSA chordal outcome, charging the given meter
-// (the run meter, or a rung sub-meter). On failure the returned error is a
-// ready-to-surface *raerr.FuncError; a budget trip is detectable on the
-// meter itself.
-func assignAndRewrite(out *Outcome, f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, runner *Runner, meter *budget.Meter) error {
-	res := out.Result
-	var allocatedVals, spilledVals []bool
-	if runner != nil {
-		runner.allocatedVals = resizeFlags(runner.allocatedVals, f.NumValues)
-		runner.spilledVals = resizeFlags(runner.spilledVals, f.NumValues)
-		allocatedVals, spilledVals = runner.allocatedVals, runner.spilledVals
-	} else {
-		allocatedVals = make([]bool, f.NumValues)
-		spilledVals = make([]bool, f.NumValues)
-	}
-	for vx, al := range res.Allocated {
-		if al {
-			allocatedVals[out.ValueOf[vx]] = true
-		}
-	}
-	var ra *regassign.Scratch
-	if runner != nil {
-		ra = runner.ra
-	}
-	// Coalescing-biased assignment: φ/copy moves and affinity classes come
-	// straight from the function and the clique structure — no IFG. Degraded
-	// rungs skip the bias (a budget-tripped run should not buy move quality
-	// with extra analysis); bias never changes the allocated set, so the
-	// spill decisions above are untouched either way.
-	var bias *regassign.Bias
-	var moves []coalesce.VMove
-	var aff *coalesce.Affinity
-	if cfg.Coalescing != coalesce.Off && out.Cliques != nil && out.Degraded == nil {
-		moves = coalesce.MovesFromFunc(f, cfg.CostModel)
-		if len(moves) > 0 {
-			var sc *coalesce.BiasScratch
-			if runner != nil {
-				if runner.bias == nil {
-					runner.bias = &coalesce.BiasScratch{}
-				}
-				sc = runner.bias
-			}
-			aff = coalesce.BuildAffinity(out.Cliques, moves, cfg.Coalescing, cfg.Registers, sc)
-			if aff != nil {
-				bias = regassign.NewBias(aff.ClassOf, aff.NumClasses)
-			}
-		}
-	}
-	regOf, err := regassign.AssignBiasedBudget(f, dom, info, allocatedVals, cfg.Registers, ra, meter, bias)
-	if err != nil {
-		if meter.Exceeded() {
-			return &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: err}
-		}
-		return &raerr.FuncError{Func: f.Name, Stage: "assign",
-			Err: fmt.Errorf("%w: assignment after allocation failed: %w",
-				raerr.ErrPressureUnsatisfiable, err)}
-	}
-	if err := regassign.VerifyAssignment(info, allocatedVals, regOf); err != nil {
-		return &raerr.FuncError{Func: f.Name, Stage: "assign",
-			Err: fmt.Errorf("assignment verification failed: %w", err)}
-	}
-	out.RegisterOf = regOf
-	if cfg.Coalescing != coalesce.Off && out.Cliques != nil && out.Degraded == nil {
-		out.Coalesce = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
-	}
-	for _, v := range out.SpilledValues {
-		spilledVals[v] = true
-	}
-	out.Rewritten = regassign.InsertSpillCode(f, spilledVals)
-	if len(out.SpilledValues) > 0 {
-		// With no spills the rewrite is a plain clone of the function
-		// validated above; re-validating it would just recompute
-		// dominance for nothing.
-		if err := out.Rewritten.Validate(); err != nil {
-			return &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-				Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
-		}
-	}
-	return nil
-}
-
 // linearScanRung is the middle rung of the degradation ladder: the
 // configured allocator ran out of budget during allocation or assignment,
 // so the allocation is redone by the DLS linear scan under a fresh, small
 // step allowance (the scan is O(n log n); the allowance only matters when
-// the shared wall-clock deadline is already near). Any failure inside the
-// rung — no intervals to scan, an invalid result, an assignment trip —
-// falls through to the spill-all floor.
-func linearScanRung(f *ir.Func, cfg Config, runner *Runner, dom *ir.Dominance, info *liveness.Info, build *ifg.Build, cs *cliques.Structure, p *alloc.Problem, m *budget.Meter) (*Outcome, error) {
+// the shared wall-clock deadline is already near). Only unconstrained runs
+// get it — the interval scan is blind to pins and clobbers, so a machine
+// run falls straight to the floor. Any failure inside the rung — no
+// intervals to scan, an invalid result, an assignment trip — falls through
+// to the spill-all floor.
+func (d *driver) linearScanRung(p *alloc.Problem) (*Outcome, error) {
+	m := d.m
 	trip := m.BudgetErr()
-	if p.Intervals == nil {
-		return spillAll(f, cfg, dom, info, m, trip)
+	if d.plan != nil || p.Intervals == nil {
+		return d.spillAll(trip)
 	}
 	rm := m.Rung(32*int64(p.N()) + 1024)
 	rm.SetStage(raerr.StageAllocate)
@@ -512,18 +725,13 @@ func linearScanRung(f *ir.Func, cfg Config, runner *Runner, dom *ir.Dominance, i
 	p.Meter = nil
 	if err := p.Validate(res); err != nil {
 		m.AddSpent(rm.Spent())
-		return spillAll(f, cfg, dom, info, m, trip)
+		return d.spillAll(trip)
 	}
-	out := outcomeFrom(f, build, cs, p, res)
-	out.Degraded = &Degradation{Rung: RungLinearScan, Stage: trip.Stage, Reason: trip}
-	if !cfg.SkipRewrite && f.SSA && p.Chordal {
-		rm.SetStage(raerr.StageAssign)
-		if ferr := assignAndRewrite(out, f, cfg, dom, info, runner, rm); ferr != nil {
-			m.AddSpent(rm.Spent())
-			return spillAll(f, cfg, dom, info, m, trip)
-		}
-	}
+	out, ferr := d.finish(p, res, rm, &Degradation{Rung: RungLinearScan, Stage: trip.Stage, Reason: trip})
 	m.AddSpent(rm.Spent())
+	if ferr != nil {
+		return d.spillAll(trip)
+	}
 	out.BudgetSpent = m.Spent()
 	return out, nil
 }
@@ -531,10 +739,10 @@ func linearScanRung(f *ir.Func, cfg Config, runner *Runner, dom *ir.Dominance, i
 // spillAll is the floor of the degradation ladder: every value occurring in
 // reachable code is spilled. It needs no liveness, no interference
 // structure and no assignment — O(V) work — so it succeeds under any
-// budget; the trip that forced the fall is recorded in Degraded. info may
-// be nil (an admission or liveness trip happens before liveness exists), in
-// which case MaxLive is reported as 0.
-func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m *budget.Meter, trip *raerr.BudgetError) (*Outcome, error) {
+// budget; the trip that forced the fall is recorded in Degraded. MaxLive is
+// reported as 0 when the trip came before liveness existed.
+func (d *driver) spillAll(trip *raerr.BudgetError) (*Outcome, error) {
+	f, cfg, dom := d.f, d.cfg, d.dom
 	nv := f.NumValues
 	occurs := make([]bool, nv)
 	mark := func(v int) {
@@ -588,8 +796,8 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 		SpilledValues: append([]int(nil), valueOf...),
 		SpillCost:     res.SpillCost(p),
 	}
-	if info != nil {
-		out.MaxLive = info.MaxLive
+	if d.info != nil {
+		out.MaxLive = d.info.MaxLive
 	}
 	if trip != nil {
 		out.Degraded = &Degradation{Rung: RungSpillAll, Stage: trip.Stage, Reason: trip}
@@ -608,20 +816,8 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 			}
 		}
 	}
-	out.BudgetSpent = m.Spent()
+	out.BudgetSpent = d.m.Spent()
 	return out, nil
-}
-
-// resizeFlags returns s resized to n with every flag cleared.
-func resizeFlags(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }
 
 // The paper's allocators, registered once at init into the shared registry

@@ -7,207 +7,6 @@ import (
 	"repro/internal/liveness"
 )
 
-// AssignConstrained is the machine-honoring tree-scan: every allocated
-// value gets a register of its own class (a RegRef), pre-colored values get
-// exactly their pin, and each value avoids the registers in its forbid
-// mask (bit i set = within-class index i banned — the driver encodes
-// call-clobber avoidance and pin reservations there).
-//
-// caps is the per-class register count; pins[v] is the value's fixed RegRef
-// or NoReg; forbid[v] is the banned-index mask (nil = no bans). Unlike the
-// unconstrained scan, constraints can make the greedy choice infeasible
-// even at legal pressure: on failure the second return names the value that
-// found no register, so the driver can force-spill it and retry (always
-// sound under spill-everywhere, and bounded by the value count).
-func AssignConstrained(f *ir.Func, dom *ir.Dominance, info *liveness.Info,
-	allocated []bool, caps [ir.NumClasses]int, pins []int, forbid []uint64) ([]int, int, error) {
-	return AssignConstrainedBiased(f, dom, info, allocated, caps, pins, forbid, nil)
-}
-
-// AssignConstrainedBiased is AssignConstrained with a coalescing bias: a
-// value whose affinity class already converged on a register takes it when
-// it is of the value's own class, inside the class capacity, free, and not
-// in the value's forbid mask — otherwise the scan falls back to the normal
-// lowest-admissible choice. Pins always win (and seed the class hint, so
-// copy chains rooted at an ABI register chase the pin). A nil bias
-// reproduces AssignConstrained byte-for-byte.
-func AssignConstrainedBiased(f *ir.Func, dom *ir.Dominance, info *liveness.Info,
-	allocated []bool, caps [ir.NumClasses]int, pins []int, forbid []uint64, bias *Bias) ([]int, int, error) {
-	if !f.SSA {
-		return nil, -1, fmt.Errorf("regassign: tree-scan requires strict SSA")
-	}
-	for _, c := range caps {
-		if c > 64 {
-			return nil, -1, fmt.Errorf("regassign: constrained assignment supports at most 64 registers per class, got %d", c)
-		}
-	}
-	nv := f.NumValues
-	regOf := make([]int, nv)
-	for i := range regOf {
-		regOf[i] = NoReg
-	}
-	// Per-class register files as bitmasks (bit i = index i in use).
-	var inUse [ir.NumClasses]uint64
-	liveOutB := make([]bool, nv)
-	lastUse := make([]int, nv)
-	hasLast := make([]bool, nv)
-
-	pinOf := func(v int) int {
-		if pins == nil {
-			return NoReg
-		}
-		return pins[v]
-	}
-	banned := func(v int) uint64 {
-		if forbid == nil {
-			return 0
-		}
-		return forbid[v]
-	}
-
-	var failVal int = -1
-	var fail error
-	var walk func(bid int)
-	walk = func(bid int) {
-		if fail != nil {
-			return
-		}
-		b := f.Blocks[bid]
-		// The register file is rebuilt per block from the allocated live-in
-		// values (their defs dominate this block, so they are colored).
-		for c := range inUse {
-			inUse[c] = 0
-		}
-		for _, v := range info.LiveIn[bid] {
-			if allocated[v] && regOf[v] != NoReg {
-				inUse[ir.RegClassOf(regOf[v])] |= 1 << uint(ir.RegIndexOf(regOf[v]))
-			}
-		}
-		for _, v := range info.LiveOut[bid] {
-			liveOutB[v] = true
-		}
-		for i, ins := range b.Instrs {
-			if ins.Op == ir.OpPhi {
-				continue
-			}
-			for _, u := range ins.Uses {
-				if !liveOutB[u] {
-					lastUse[u] = i
-					hasLast[u] = true
-				}
-			}
-		}
-		assign := func(v int) {
-			if regOf[v] != NoReg {
-				return
-			}
-			c := f.ClassOf(v)
-			cls := bias.classOf(v)
-			if pin := pinOf(v); pin != NoReg {
-				idx := ir.RegIndexOf(pin)
-				if ir.RegClassOf(pin) != c || idx >= caps[c] || inUse[c]&(1<<uint(idx)) != 0 {
-					failVal, fail = v, fmt.Errorf("regassign: pre-color %s of %s unavailable in %s",
-						ir.RegName(pin), f.NameOf(v), b.Name)
-					return
-				}
-				regOf[v] = pin
-				inUse[c] |= 1 << uint(idx)
-				if bias != nil {
-					bias.record(cls, pin)
-				}
-				return
-			}
-			free := ^(inUse[c] | banned(v))
-			if cls >= 0 {
-				if h := bias.hintOf(cls); h != NoReg && ir.RegClassOf(int(h)) == c {
-					if idx := ir.RegIndexOf(int(h)); idx < caps[c] && free&(1<<uint(idx)) != 0 {
-						regOf[v] = int(h)
-						inUse[c] |= 1 << uint(idx)
-						return
-					}
-				}
-			}
-			for idx := 0; idx < caps[c]; idx++ {
-				if free&(1<<uint(idx)) != 0 {
-					regOf[v] = ir.MakeReg(c, idx)
-					inUse[c] |= 1 << uint(idx)
-					if bias != nil {
-						bias.record(cls, ir.MakeReg(c, idx))
-					}
-					return
-				}
-			}
-			failVal, fail = v, fmt.Errorf("regassign: no admissible %s register for %s in %s",
-				c, f.NameOf(v), b.Name)
-		}
-		release := func(v int) {
-			if regOf[v] != NoReg {
-				inUse[ir.RegClassOf(regOf[v])] &^= 1 << uint(ir.RegIndexOf(regOf[v]))
-			}
-		}
-		for _, ins := range b.Instrs {
-			if ins.Op != ir.OpPhi {
-				break
-			}
-			if allocated[ins.Def] {
-				assign(ins.Def)
-				if fail != nil {
-					return
-				}
-			}
-		}
-		// Dead phi defs occupy a register only at the block boundary.
-		for _, ins := range b.Instrs {
-			if ins.Op != ir.OpPhi {
-				break
-			}
-			if d := ins.Def; allocated[d] && !liveOutB[d] && !hasLast[d] {
-				release(d)
-			}
-		}
-		for i, ins := range b.Instrs {
-			if ins.Op == ir.OpPhi {
-				continue
-			}
-			for _, u := range ins.Uses {
-				if hasLast[u] && lastUse[u] == i && allocated[u] {
-					release(u)
-				}
-			}
-			if ins.Op.HasDef() && ins.Def != ir.NoValue && allocated[ins.Def] {
-				assign(ins.Def)
-				if fail != nil {
-					return
-				}
-				if !liveOutB[ins.Def] && !hasLast[ins.Def] {
-					release(ins.Def)
-				}
-			}
-		}
-		// Reset the per-block death bookkeeping before descending (children
-		// recompute their own; this block's flags must not leak).
-		for _, v := range info.LiveOut[bid] {
-			liveOutB[v] = false
-		}
-		for _, ins := range b.Instrs {
-			if ins.Op == ir.OpPhi {
-				continue
-			}
-			for _, u := range ins.Uses {
-				hasLast[u] = false
-			}
-		}
-		for _, c := range dom.Children[bid] {
-			walk(c)
-		}
-	}
-	walk(0)
-	if fail != nil {
-		return nil, failVal, fail
-	}
-	return regOf, -1, nil
-}
-
 // VerifyClassAssignment checks the class-and-pin half of a constrained
 // assignment: every allocated value holds a register of its own class with
 // an index inside the class capacity, and pre-colored values hold exactly

@@ -1,6 +1,7 @@
 package regassign
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -329,5 +330,79 @@ b2:
 	}
 	if regOf[names["x"]] == regOf[names["a"]] {
 		t.Fatal("x stole a's register while a was live")
+	}
+}
+
+// wideFunc has n parameters live at once, folded by a chain of additions.
+func wideFunc(n int) *ir.Func {
+	var b strings.Builder
+	b.WriteString("func wide ssa {\nb0:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  v%d = param %d\n", i, i)
+	}
+	b.WriteString("  s1 = arith v0, v1\n")
+	for i := 2; i < n; i++ {
+		fmt.Fprintf(&b, "  s%d = arith s%d, v%d\n", i, i-1, i)
+	}
+	fmt.Fprintf(&b, "  ret s%d\n}\n", n-1)
+	return ir.MustParse(b.String())
+}
+
+// TestTreeScanFlatBeyond64: the one-class file has no register limit — 90
+// values live at once get registers 0–89 with R = 100 — while a classed
+// file keeps the 64-per-class cap of its uint64 forbid masks.
+func TestTreeScanFlatBeyond64(t *testing.T) {
+	f := wideFunc(90)
+	info := liveness.Compute(f)
+	dom := f.ComputeDominance()
+	regOf, _, err := TreeScan(f, dom, info, allTrue(f.NumValues), Flat(100), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAssignment(info, allTrue(f.NumValues), regOf); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 90; v++ {
+		if regOf[v] != v {
+			t.Fatalf("parameter %d got register %d, want %d", v, regOf[v], v)
+		}
+	}
+	if _, _, err := TreeScan(f, dom, info, allTrue(f.NumValues), Flat(89), nil, nil, nil); err == nil {
+		t.Fatal("89 registers held 90 live values")
+	}
+	classed := Flat(100)
+	classed.Classed = true
+	if _, _, err := TreeScan(f, dom, info, allTrue(f.NumValues), classed, nil, nil, nil); err == nil {
+		t.Fatal("classed file accepted 100 registers in one class")
+	}
+}
+
+// TestTreeScanPinsAndForbid: a pin is honored, a forbid mask steers the
+// lowest-admissible choice, and a pin taken by a live value names the
+// stuck value.
+func TestTreeScanPinsAndForbid(t *testing.T) {
+	f := ir.MustParse(`
+func p ssa {
+b0:
+  a = param 0
+  b = param 1
+  c = arith a, b
+  ret c
+}`)
+	info := liveness.Compute(f)
+	dom := f.ComputeDominance()
+	a, b, c := 0, 1, 2
+	file := File{Caps: [ir.NumClasses]int{ir.ClassGPR: 4}, Classed: true,
+		Pins: []int{NoReg, 3, NoReg}, Forbid: []uint64{0b0001, 0, 0}}
+	regOf, _, err := TreeScan(f, dom, info, allTrue(f.NumValues), file, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regOf[a] != 1 || regOf[b] != 3 || regOf[c] != 0 {
+		t.Fatalf("registers a=%d b=%d c=%d, want 1, 3, 0", regOf[a], regOf[b], regOf[c])
+	}
+	file.Pins = []int{3, 3, NoReg}
+	if _, stuck, err := TreeScan(f, dom, info, allTrue(f.NumValues), file, nil, nil, nil); err == nil || stuck != b {
+		t.Fatalf("colliding pins: stuck=%d err=%v, want value %d stuck", stuck, err, b)
 	}
 }

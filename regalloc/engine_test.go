@@ -51,12 +51,6 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := regalloc.New(regalloc.WithRegisters(4), regalloc.WithCostModel(bad)); !errors.Is(err, regalloc.ErrInvalidConfig) {
 		t.Errorf("invalid cost model: err = %v, want ErrInvalidConfig", err)
 	}
-	// WithTrustedCostModel defers the malformed model to run time; New
-	// must accept it.
-	if _, err := regalloc.New(regalloc.WithRegisters(4), regalloc.WithCostModel(bad),
-		regalloc.WithTrustedCostModel()); err != nil {
-		t.Errorf("WithTrustedCostModel: New rejected the deferred model: %v", err)
-	}
 }
 
 func TestAllocatorNameCaseInsensitive(t *testing.T) {
@@ -220,22 +214,6 @@ func TestCustomAllocatorPanicIsFuncError(t *testing.T) {
 	var fe *regalloc.FuncError
 	if !errors.As(err, &fe) || fe.Func != "f" || fe.Stage != "allocate" {
 		t.Errorf("panicking allocator: err = %v, want *FuncError{f, allocate}", err)
-	}
-}
-
-// TestTrustedCostModelModuleRuns: an engine built with WithTrustedCostModel
-// behaves identically on the single-function and module entry points — the
-// deferred (unvalidated) model is the caller's responsibility on both.
-func TestTrustedCostModelModuleRuns(t *testing.T) {
-	m := irgen.GenerateModule(4, 4)
-	eng, err := regalloc.New(regalloc.WithRegisters(4),
-		regalloc.WithCostModel(regalloc.NewCostModel(2, 1)),
-		regalloc.WithTrustedCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.AllocateModule(context.Background(), m); err != nil {
-		t.Errorf("trusted cost model rejected by the module path: %v", err)
 	}
 }
 

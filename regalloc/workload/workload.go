@@ -37,9 +37,6 @@ type NonSSAShape = bench.NonSSAShape
 // SSAExtensionRow is one row of the SSA-construction extension experiment.
 type SSAExtensionRow = bench.SSAExtensionRow
 
-// CoalesceRow is one row of the φ-move coalescing extension experiment.
-type CoalesceRow = bench.CoalesceRow
-
 // The paper's workload suites and register sweeps.
 var (
 	SuiteSPEC2000   = bench.SuiteSPEC2000
@@ -84,7 +81,7 @@ func GenGiant(name string, seed int64, values, blocks int) *irx.Func {
 // controlled duplication rate: each function after the first is, with
 // probability dupRate, an alpha-renamed copy of an earlier one. This is
 // the corpus shape of redundant JIT / compile-server traffic, and the
-// workload behind the outcome-cache benchmarks (BENCH_cache.json).
+// workload behind the serve-redundant benchmark (perfbench).
 func GenDuplicated(seed int64, n int, dupRate float64) *irx.Module {
 	return irgen.GenDuplicated(seed, n, dupRate)
 }
@@ -146,9 +143,3 @@ func RunSSAExtension(registers []int) ([]SSAExtensionRow, error) {
 
 // FormatSSAExtension renders the extension experiment's table.
 func FormatSSAExtension(rows []SSAExtensionRow) string { return bench.FormatSSAExtension(rows) }
-
-// RunCoalesce runs the φ-move coalescing extension experiment.
-func RunCoalesce(suites []Suite) []CoalesceRow { return bench.RunCoalesce(suites) }
-
-// FormatCoalesce renders the coalescing experiment's table.
-func FormatCoalesce(rows []CoalesceRow) string { return bench.FormatCoalesce(rows) }
