@@ -207,7 +207,7 @@ func DeriveBudget(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, m *b
 // elimination order is the corresponding subsequence of the dominance PEO
 // (induced subgraphs of chordal graphs are chordal, and a subsequence of a
 // PEO is a PEO of the induced subgraph), and MaxLive is the subset's own
-// pressure peak. The machine-constrained driver uses it to carve one
+// pressure peak. A machine-constrained run uses it to carve one
 // chordal subproblem per register class. Values outside the subset simply
 // vanish; the same fallback contract as Derive applies.
 func DeriveSubset(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scratch) *Structure {

@@ -65,7 +65,7 @@ func TotalCost(moves []VMove) float64 {
 }
 
 // FilterClass keeps only the moves whose endpoints are both of register
-// class c (the constrained driver biases each per-class subproblem
+// class c (a machine-constrained run biases each register class
 // separately: endpoints of different classes can never share a register).
 func FilterClass(moves []VMove, f *ir.Func, c ir.Class) []VMove {
 	var out []VMove

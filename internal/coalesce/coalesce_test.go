@@ -176,6 +176,30 @@ func TestPropertyAggressiveDominatesConservative(t *testing.T) {
 	}
 }
 
+// TestAggressiveDominanceCounterexample pins a seed where greedy aggressive
+// merging can block a more valuable later merge that conservative leaves
+// open. Whichever policy ends ahead there, both must form only classes of
+// pairwise non-interfering values.
+func TestAggressiveDominanceCounterexample(t *testing.T) {
+	f := genFunc(-4890557239861182494)
+	cs := cliques.Derive(liveness.Compute(f), f.ComputeDominance(), nil)
+	moves := coalesce.MovesFromFunc(f, spillcost.DefaultModel)
+	b := ifg.FromFunc(f)
+	for _, pol := range []coalesce.Policy{coalesce.Aggressive, coalesce.Conservative} {
+		aff := coalesce.BuildAffinity(cs, moves, pol, cs.MaxLive, nil)
+		if aff == nil {
+			continue
+		}
+		for u := 0; u < f.NumValues; u++ {
+			for v := u + 1; v < f.NumValues; v++ {
+				if c := aff.ClassOf[u]; c >= 0 && c == aff.ClassOf[v] && b.Graph.HasEdge(b.VertexOf[u], b.VertexOf[v]) {
+					t.Fatalf("%s merged interfering values %s and %s", pol, f.NameOf(u), f.NameOf(v))
+				}
+			}
+		}
+	}
+}
+
 // TestPropertyMergedClassesStable: affinity classes never contain an
 // interfering pair, checked against the explicit interference graph.
 func TestPropertyMergedClassesStable(t *testing.T) {

@@ -108,7 +108,8 @@ const (
 	RungLinearScan = "linear-scan"
 	// RungSpillAll: the floor — every occurring value is spilled. Reached
 	// when the budget trips before the problem structure exists (admission,
-	// liveness, cliques) or when the linear-scan rung itself fails.
+	// liveness, cliques), when the linear-scan rung itself fails, and on
+	// any trip of a machine-constrained run.
 	RungSpillAll = "spill-all"
 )
 
@@ -287,9 +288,10 @@ func run(f *ir.Func, cfg Config, runner *Runner, explicitGraph bool) (*Outcome, 
 	d.costs = runner.costs
 
 	// Interference analysis: clique structure straight from liveness for
-	// strict SSA (the fast path), explicit graph otherwise.
+	// strict SSA (the fast path; admitMachine already checked a machine
+	// run's function), explicit graph otherwise.
 	d.m.SetStage(raerr.StageCliques)
-	if !explicitGraph && cliques.Applicable(f, d.dom) {
+	if !explicitGraph && (cons != nil || cliques.Applicable(f, d.dom)) {
 		if d.cs, err = cliques.DeriveBudget(d.info, d.dom, runner.cs, d.m); err != nil {
 			return d.trip(raerr.StageCliques, err)
 		}
@@ -426,7 +428,7 @@ func checkConfig(cfg Config) error {
 		}
 		for c := ir.Class(0); c < ir.NumClasses; c++ {
 			if cons.Cap(c) > 64 {
-				return fmt.Errorf("%w: class %s capacity %d exceeds the constrained assigner's 64-register limit",
+				return fmt.Errorf("%w: class %s capacity %d exceeds the tree-scan's 64-register limit for machines",
 					raerr.ErrInvalidConfig, c, cons.Cap(c))
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // assignment: every allocated value holds a register of its own class with
 // an index inside the class capacity, and pre-colored values hold exactly
 // their pin. Interference freedom is VerifyAssignment's job (RegRefs are
-// plain ints, so it applies unchanged); clobber avoidance is checked by the
-// constrained driver, which knows the call spans.
+// plain ints, so it applies unchanged); clobber avoidance is checked by
+// the driver's constraint plan, which knows the call spans.
 func VerifyClassAssignment(f *ir.Func, allocated []bool, regOf []int, caps [ir.NumClasses]int) error {
 	for v, reg := range regOf {
 		if reg == NoReg {
@@ -38,7 +38,7 @@ func VerifyClassAssignment(f *ir.Func, allocated []bool, regOf []int, caps [ir.N
 }
 
 // liveThrough reports the values live across each clobbering call. It is a
-// shared helper for the constrained driver and the differential verifier:
+// shared helper for the constraint plan and the differential verifier:
 // the returned map keys each call instruction (by block and index) to the
 // sorted list of values live both before and after it.
 func liveThrough(info *liveness.Info) map[[2]int][]int {
