@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -210,6 +211,32 @@ func TestApplicableGate(t *testing.T) {
 		if got := Applicable(f, dom); got != tc.want {
 			t.Errorf("%s: Applicable = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestSetsDeduplicated: the live sets the allocator consumes are distinct.
+func TestSetsDeduplicated(t *testing.T) {
+	f := ir.MustParse(`
+func s ssa {
+b0:
+  a = param 0
+  b = param 1
+  c = arith a, b
+  d = arith c, b
+  e = arith d, a
+  ret e
+}`)
+	cs := deriveFor(t, f, nil)
+	if cs == nil {
+		t.Fatal("fast path not applicable")
+	}
+	seen := map[string]bool{}
+	for _, s := range cs.Sets {
+		key := fmt.Sprint(s)
+		if seen[key] {
+			t.Fatalf("duplicate live set %v", s)
+		}
+		seen[key] = true
 	}
 }
 

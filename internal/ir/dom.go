@@ -1,9 +1,16 @@
 package ir
 
+import "math/bits"
+
 // Dominance holds the dominator tree of a function, computed with the
 // Cooper–Harvey–Kennedy iterative algorithm ("A Simple, Fast Dominance
 // Algorithm"). Block 0 is the root; unreachable blocks have Idom -1 and are
 // excluded from the tree.
+//
+// The tree is also numbered in preorder. A block's subtree then occupies
+// one interval of preorder numbers, [pre(b), last(b)], so Dominates is two
+// comparisons instead of an idom-chain walk. Unreachable blocks get an
+// empty interval: they dominate nothing and nothing dominates them.
 type Dominance struct {
 	// Idom[b] is the immediate dominator of block b (-1 for the entry and
 	// for unreachable blocks).
@@ -16,11 +23,24 @@ type Dominance struct {
 	Order []int
 	// Postorder lists reachable block IDs in postorder.
 	Postorder []int
+
+	// span[b] packs pre(b) into its high half and last(b) into its low
+	// half, so the interval numbering costs one slice and no storage
+	// beyond what the earlier steps already allocated.
+	span []int
 }
 
+// The halves of a span entry. Like the DFS stack packing below, this
+// bounds the block count by the square root of the int range.
+const (
+	spanShift = bits.UintSize / 2
+	spanLow   = 1<<spanShift - 1
+)
+
 // ComputeDominance builds dominance information for f. All integer arrays
-// (Idom, Order, Postorder, the DFS worklist) are carved from one backing
-// slab, and Children sub-slices a second one, so a call costs a handful of
+// (Idom, Order, Postorder, the DFS worklist and later the Children
+// backing) are carved from one slab, and the Children prefix counts are
+// reused for the interval numbering, so a call costs a handful of
 // allocations regardless of block count.
 func (f *Func) ComputeDominance() *Dominance {
 	n := len(f.Blocks)
@@ -38,7 +58,8 @@ func (f *Func) ComputeDominance() *Dominance {
 	// successor index) into one int each to stay inside the slab; the
 	// modulus must exceed every successor count, which can top n+1 when a
 	// block lists the same successor twice (a condbr with equal targets in
-	// a tiny function).
+	// a tiny function). Order marks visited blocks (0) until the walk is
+	// done and it receives the real numbers.
 	mod := n + 1
 	for _, b := range f.Blocks {
 		if len(b.Succs) >= mod {
@@ -47,18 +68,17 @@ func (f *Func) ComputeDominance() *Dominance {
 	}
 	post := slab[2*n : 2*n : 3*n]
 	stack := slab[3*n : 3*n : 4*n]
-	visited := make([]bool, n)
 	push := func(b int) { stack = append(stack, b*mod) }
 	push(0)
-	visited[0] = true
+	d.Order[0] = 0
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		block, next := top/mod, top%mod
 		succs := f.Blocks[block].Succs
 		if next < len(succs) {
 			stack[len(stack)-1]++
-			if s := succs[next]; !visited[s] {
-				visited[s] = true
+			if s := succs[next]; d.Order[s] < 0 {
+				d.Order[s] = 0
 				push(s)
 			}
 			continue
@@ -98,7 +118,8 @@ func (f *Func) ComputeDominance() *Dominance {
 		}
 	}
 	d.Idom[0] = -1 // restore the usual convention for the entry
-	// Children in reverse postorder, carved from one slab.
+	// Children in reverse postorder, backed by the DFS stack's quarter of
+	// the slab (the walk is over; at most n-1 blocks have a parent).
 	counts := make([]int, n+1)
 	for _, b := range post {
 		if b != 0 {
@@ -110,7 +131,7 @@ func (f *Func) ComputeDominance() *Dominance {
 	for i := 0; i < n; i++ {
 		counts[i+1] += counts[i]
 	}
-	kids := make([]int, counts[n])
+	kids := slab[3*n : 3*n+counts[n]]
 	fill := counts // prefix sums double as fill cursors
 	for i := len(post) - 1; i >= 0; i-- {
 		b := post[i]
@@ -128,7 +149,39 @@ func (f *Func) ComputeDominance() *Dominance {
 		d.Children[p] = kids[off:end:end]
 		off = end
 	}
+	d.numberIntervals(counts[:n])
 	return d
+}
+
+// numberIntervals fills span (see Dominance). In CFG postorder every block
+// comes before its immediate dominator, so one postorder sweep sums subtree
+// sizes into the low halves, and one reverse-postorder sweep hands each
+// block's children consecutive ranges after its own preorder number.
+// Unreachable blocks get pre = n and last = 0, an interval no block is in.
+func (d *Dominance) numberIntervals(span []int) {
+	d.span = span
+	clear(span)
+	for _, b := range d.Postorder {
+		span[b]++
+		if b != 0 {
+			span[d.Idom[b]] += span[b]
+		}
+	}
+	span[0]-- // the entry: pre 0, last = size-1
+	for i := len(d.Postorder) - 1; i >= 0; i-- {
+		b := d.Postorder[i]
+		next := span[b]>>spanShift + 1
+		for _, c := range d.Children[b] {
+			size := span[c]
+			span[c] = next<<spanShift | (next + size - 1)
+			next += size
+		}
+	}
+	for b, o := range d.Order {
+		if o < 0 {
+			span[b] = len(span) << spanShift
+		}
+	}
 }
 
 func (d *Dominance) intersect(a, b int) int {
@@ -145,19 +198,8 @@ func (d *Dominance) intersect(a, b int) int {
 
 // Dominates reports whether block a dominates block b (reflexively).
 func (d *Dominance) Dominates(a, b int) bool {
-	if d.Order[b] < 0 || d.Order[a] < 0 {
-		return false
-	}
-	for b != a {
-		if d.Order[b] <= d.Order[a] {
-			return false
-		}
-		b = d.Idom[b]
-		if b < 0 {
-			return false
-		}
-	}
-	return true
+	sa, pb := d.span[a], d.span[b]>>spanShift
+	return sa>>spanShift <= pb && pb <= sa&spanLow
 }
 
 // ComputeLoops fills Block.LoopDepth using natural loops: for every back

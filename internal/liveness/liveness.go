@@ -4,9 +4,11 @@
 // a phi's operands are live out of the corresponding predecessor blocks (not
 // live into the phi's block), and the phi's result is live in.
 //
-// Internally every set is a dense bitset over value IDs; the public API
-// stays sorted []int slices (ascending by construction of the bitset
-// iteration), so callers are unaffected by the representation.
+// Internally the per-block dataflow sets are dense bitsets over value IDs;
+// the public API stays sorted []int slices. The per-point walk keeps the
+// live set as a bitset for membership plus an ascending list for
+// snapshots, so a point costs O(|live|) plus a binary search per
+// membership change, not a scan over every value of the function.
 package liveness
 
 import (
@@ -225,12 +227,38 @@ func compute(f *ir.Func, arena *bitset.Arena, ptsBuf []Point, meter *budget.Mete
 // the live set before every non-phi instruction plus the block-end point,
 // and the definition instant of every value (DefPointOf). It reports false
 // when the budget meter trips mid-walk.
+//
+// The walk keeps the live values twice: a dense bitset answers membership,
+// and an ascending list beside it is what snapshots copy. A point therefore
+// costs O(|live|) rather than a scan of the whole value universe, plus a
+// binary search and a shift for each add or remove that changes
+// membership. The list is carved once with capacity NumValues, so it never
+// grows.
 func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter *budget.Meter) bool {
 	f := info.F
 	nv := f.NumValues
 	live := arena.Set(nv)
+	sorted := arena.Ints(nv)
+	add := func(v int) {
+		if live.Has(v) {
+			return
+		}
+		live.Add(v)
+		i := search(sorted, v)
+		sorted = sorted[:len(sorted)+1]
+		copy(sorted[i+1:], sorted[i:])
+		sorted[i] = v
+	}
+	remove := func(v int) {
+		if !live.Has(v) {
+			return
+		}
+		live.Remove(v)
+		i := search(sorted, v)
+		sorted = sorted[:i+copy(sorted[i:], sorted[i+1:])]
+	}
 	snapshot := func() []int {
-		return live.AppendTo(arena.Ints(live.Count()))
+		return append(arena.Ints(len(sorted)), sorted...)
 	}
 	info.DefPointOf = arena.Ints(nv)
 	info.DefPointOf = info.DefPointOf[:nv]
@@ -243,6 +271,7 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 			return false
 		}
 		live.CopyFrom(liveOut[b.ID])
+		sorted = append(sorted[:0], info.LiveOut[b.ID]...)
 		endPoint := Point{Block: b.ID, Index: len(b.Instrs), Live: snapshot()}
 		// Points of this block are appended to info.Points in reverse layout
 		// order starting at base, then flipped in place — no per-block
@@ -268,7 +297,7 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 				// interference graph's cliques reflect — record it so
 				// MaxLive equals the clique number on SSA functions.
 				if !live.Has(ins.Def) {
-					live.Add(ins.Def)
+					add(ins.Def)
 					info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot()})
 					info.DefPointOf[ins.Def] = -(len(info.Points) - base - 1 + 3)
 				} else if len(info.Points) > base {
@@ -278,10 +307,10 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 				} else {
 					info.DefPointOf[ins.Def] = -2 // block-end point
 				}
-				live.Remove(ins.Def)
+				remove(ins.Def)
 			}
 			for _, u := range ins.Uses {
-				live.Add(u)
+				add(u)
 			}
 			info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot()})
 		}
@@ -335,19 +364,20 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 	return true
 }
 
-// LiveSets returns the distinct live sets over all program points, each
-// sorted, with duplicates removed. For a strict-SSA function, the maximal
-// ones among these are exactly the maximal cliques of the interference
-// graph.
-func (info *Info) LiveSets() [][]int {
-	intern := bitset.NewInterner(len(info.Points))
-	for _, p := range info.Points {
-		if len(p.Live) == 0 {
-			continue
+// search returns the position of v in the ascending list s, or where it
+// would be inserted. Unlike the generic slices.BinarySearch it inlines,
+// which matters on the small functions that make up most batches.
+func search(s []int, v int) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		intern.InternRef(p.Live)
 	}
-	return intern.Sets()
+	return lo
 }
 
 // mergeSorted merges two sorted slices into out (an empty slice with enough

@@ -43,51 +43,50 @@ func VerifyClassAssignment(f *ir.Func, allocated []bool, regOf []int, caps [ir.N
 // sorted list of values live both before and after it.
 func liveThrough(info *liveness.Info) map[[2]int][]int {
 	f := info.F
-	// First point (layout order) per (block, instr index): the live-before
-	// set. Points with the same index may appear twice (live-before, then a
-	// dead def's definition instant); the first is the live-before one.
-	type key = [2]int
-	before := make(map[key]int, len(info.Points))
+	spans := make(map[[2]int][]int)
+	// Points run block by block in ascending Index, and the first point of
+	// a (block, index) is its live-before set; a dead def's definition
+	// instant may follow it with the same index. Every non-phi instruction
+	// has a live-before point, so the sets around a call at index i are the
+	// first points of i and i+1, met one after the other in a single walk.
+	before := -1 // index in Points of the last live-before point
 	for pi, p := range info.Points {
-		k := key{p.Block, p.Index}
-		if _, ok := before[k]; !ok {
-			before[k] = pi
-		}
-	}
-	spans := make(map[key][]int)
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			ins := &b.Instrs[i]
-			if ins.Op != ir.OpCall || len(ins.Clobbers) == 0 {
+		if before >= 0 {
+			q := info.Points[before]
+			if q.Block == p.Block && q.Index == p.Index {
 				continue
 			}
-			bi, okB := before[key{b.ID, i}]
-			ai, okA := before[key{b.ID, i + 1}]
-			if !okB || !okA {
-				continue // unreachable block: no points, nothing live
-			}
-			liveB, liveA := info.Points[bi].Live, info.Points[ai].Live
-			// Both sorted ascending: intersect linearly.
-			var out []int
-			x, y := 0, 0
-			for x < len(liveB) && y < len(liveA) {
-				switch {
-				case liveB[x] < liveA[y]:
-					x++
-				case liveB[x] > liveA[y]:
-					y++
-				default:
-					out = append(out, liveB[x])
-					x++
-					y++
+			if q.Block == p.Block && q.Index+1 == p.Index {
+				ins := &f.Blocks[p.Block].Instrs[q.Index]
+				if ins.Op == ir.OpCall && len(ins.Clobbers) > 0 {
+					if out := intersectSorted(q.Live, p.Live); len(out) > 0 {
+						spans[[2]int{p.Block, q.Index}] = out
+					}
 				}
 			}
-			if len(out) > 0 {
-				spans[key{b.ID, i}] = out
-			}
 		}
+		before = pi
 	}
 	return spans
+}
+
+// intersectSorted returns the values two ascending lists share.
+func intersectSorted(a, b []int) []int {
+	var out []int
+	x, y := 0, 0
+	for x < len(a) && y < len(b) {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			out = append(out, a[x])
+			x++
+			y++
+		}
+	}
+	return out
 }
 
 // LiveThroughCalls exposes the per-call live-through sets: for every OpCall

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/regalloc"
@@ -110,14 +109,9 @@ func TestGiantAdmissionGate(t *testing.T) {
 }
 
 // BenchmarkGiantScaling measures governed allocation across function sizes
-// (values per op reported); run explicitly with -bench, and set
-// GIANT_BENCH_MAX=100000 for the largest size.
+// of 10^3, 10^4 and 10^5 values; run it explicitly with -bench.
 func BenchmarkGiantScaling(b *testing.B) {
-	sizes := []int{1_000, 10_000}
-	if os.Getenv("GIANT_BENCH_MAX") == "100000" {
-		sizes = append(sizes, 100_000)
-	}
-	for _, n := range sizes {
+	for _, n := range []int{1_000, 10_000, 100_000} {
 		f := workload.GenGiant("giant", 1, n, n/200+1)
 		eng, err := regalloc.New(regalloc.WithRegisters(8))
 		if err != nil {
