@@ -39,9 +39,10 @@ type Problem struct {
 	// LiveSets are the register-pressure constraints: sorted vertex sets,
 	// each a clique of the interference graph, of which at most R members
 	// may be allocated. On the graph path of a chordal instance these are
-	// the maximal cliques; on the clique fast path they are the distinct
-	// program-point live sets (a superset of the maximal cliques, yielding
-	// identical constraint semantics).
+	// the maximal cliques; on the clique fast path they are the live sets
+	// at the distinct definition points (a superset of the maximal
+	// cliques; every program-point live set lies inside one of them, so
+	// the constraint semantics are those of all point sets).
 	LiveSets [][]int
 	// Chordal records whether the interference graph is chordal; PEO is a
 	// perfect elimination order when it is (and a best-effort MCS order
@@ -52,7 +53,9 @@ type Problem struct {
 	Name string
 	// Intervals optionally holds, per vertex, the [start, end] program
 	// point range of its live interval on a linearized layout. Linear-scan
-	// allocators require it; graph-only instances leave it nil.
+	// allocators require it. The pipeline fills it only for a configured
+	// allocator (built-in or registered) and for its linear-scan
+	// degradation rung; the default allocators run without it.
 	Intervals [][2]int
 	// Cliques is the IFG-free structure of the SSA fast path (nil on the
 	// graph path). When set, layered allocation runs natively on it.

@@ -18,8 +18,10 @@
 //     are exactly the members of its def-point live set.
 //
 // Structure packages those facts: a vertex numbering identical to the
-// ifg.Build one, the deduplicated program-point live sets (which cover every
-// interference edge), each vertex's def-point set, and the dominance PEO. It
+// ifg.Build one, the def-point live sets (one per distinct definition
+// instant; every program-point live set lies inside one of them, so they
+// cover every interference edge and every pressure constraint), each
+// vertex's def-point set, and the dominance PEO. It
 // supports the full layered allocation natively (MaxWeightStable, Degrees,
 // per-clique membership) and can lazily materialize the classical
 // graph.Graph for the allocators that genuinely need edges (Chaitin-style
@@ -51,11 +53,15 @@ type Structure struct {
 	VertexOf []int
 	// ValueOf maps vertex to value ID (ascending by construction).
 	ValueOf []int
-	// Sets holds the distinct program-point live sets translated to vertex
-	// IDs, each sorted ascending. Every set is a clique of the interference
-	// graph, every interference edge is covered by at least one set, and
-	// every maximal clique appears as the def-point set of its last-defined
-	// member.
+	// Sets holds one live set per distinct def point (the program point
+	// at which some vertex is defined; the phis of a block share their
+	// block's first point), translated to vertex IDs, each sorted ascending
+	// and numbered in point order. Every set is a clique of the
+	// interference graph, and the sets are pairwise distinct. Every
+	// program-point live set is a subset of the def-point set of its
+	// last-defined member, so the sets cover every interference edge, bound
+	// the same pressure as all point sets together, and include every
+	// maximal clique.
 	Sets [][]int
 	// DefSetOf[v] indexes the set in Sets recorded at v's definition
 	// instant; it always contains v, and it contains every neighbour of v
@@ -163,18 +169,18 @@ func Applicable(f *ir.Func, dom *ir.Dominance) bool {
 	return false
 }
 
-// Scratch recycles the transient memory of Derive across functions (bitsets,
-// the live-set interner, temporary index slices). The Structures returned by
-// Derive never alias scratch memory and stay valid indefinitely; the Scratch
+// Scratch recycles the transient memory of Derive across functions (bitsets
+// and temporary index slices, plus the interner that reproduces the
+// metered charge; see DeriveBudget). The Structures returned by Derive
+// never alias scratch memory and stay valid indefinitely; the Scratch
 // itself is not safe for concurrent use.
 type Scratch struct {
 	arena  bitset.Arena
-	intern *bitset.Interner
-	vsBuf  []int
+	intern *bitset.Interner // metered runs only
 }
 
 // NewScratch returns an empty reusable scratch.
-func NewScratch() *Scratch { return &Scratch{intern: bitset.NewInterner(64)} }
+func NewScratch() *Scratch { return &Scratch{} }
 
 // Derive builds the clique structure of f from its liveness information and
 // dominance tree. It returns nil when a structural assumption fails — the
@@ -189,11 +195,20 @@ func Derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch) *Structure
 }
 
 // DeriveBudget is Derive under a resource budget: each derivation phase
-// (vertex numbering, live-set interning, elimination order, membership
-// index) charges its input size before running. The return pair
-// distinguishes the two ways of coming back empty: (nil, error) when the
-// budget tripped mid-derivation, (nil, nil) when a structural assumption
-// failed and the caller should fall back to the explicit-graph path.
+// (vertex numbering, def-point numbering, elimination order, retained sets
+// and membership index) charges its input size before running. The return
+// pair distinguishes the two ways of coming back empty: (nil, error) when
+// the budget tripped mid-derivation, (nil, nil) when a structural
+// assumption failed and the caller should fall back to the explicit-graph
+// path.
+//
+// The charges are pinned (the outcome digest records every budget's spend
+// and trip point): nv + len(info.Points), then len(info.Points), then n,
+// then n plus the total size of the distinct non-empty program-point live
+// sets. The structure keeps only the def-point sets, so that total is not a
+// by-product of the derivation: a metered run finds the distinct point sets
+// (interned in place, no copy) just to charge it, and an unmetered run
+// never does.
 func DeriveBudget(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, m *budget.Meter) (*Structure, error) {
 	s := derive(info, dom, nil, scratch, m)
 	if s == nil && m.Exceeded() {
@@ -203,13 +218,14 @@ func DeriveBudget(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, m *b
 }
 
 // DeriveSubset builds the clique structure of the subgraph induced by the
-// values with include[v] set: live sets are projected onto the subset, the
-// elimination order is the corresponding subsequence of the dominance PEO
-// (induced subgraphs of chordal graphs are chordal, and a subsequence of a
-// PEO is a PEO of the induced subgraph), and MaxLive is the subset's own
-// pressure peak. A machine-constrained run uses it to carve one
-// chordal subproblem per register class. Values outside the subset simply
-// vanish; the same fallback contract as Derive applies.
+// values with include[v] set: def-point sets are those of the included
+// values, projected onto the subset; the elimination order is the
+// corresponding subsequence of the dominance PEO (induced subgraphs of
+// chordal graphs are chordal, and a subsequence of a PEO is a PEO of the
+// induced subgraph), and MaxLive is the subset's own pressure peak. A
+// machine-constrained run uses it to carve one chordal subproblem per
+// register class. Values outside the subset simply vanish; the same
+// fallback contract as Derive applies.
 func DeriveSubset(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scratch) *Structure {
 	if include == nil {
 		panic("cliques: DeriveSubset requires an include mask")
@@ -222,7 +238,6 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		scratch = NewScratch()
 	}
 	scratch.arena.Reset()
-	scratch.intern.Reset()
 	arena := &scratch.arena
 
 	f := info.F
@@ -233,9 +248,12 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		return nil // budget tripped before vertex numbering
 	}
 
-	// Vertex numbering: every value that is defined, used, or live anywhere,
-	// ascending — byte-identical to the ifg.Build numbering. In subset mode,
-	// excluded values get no vertex.
+	// Vertex numbering: every value that is defined or used, ascending —
+	// byte-identical to the ifg.Build numbering, which also counts values
+	// that are merely live: in strict SSA a live value is live because a
+	// use is still ahead (or, at a dead def, because it was just defined),
+	// so the live sets add none. In subset mode, excluded values get no
+	// vertex.
 	present := arena.Set(nv)
 	mark := func(v int) {
 		if v >= 0 && v < nv && (include == nil || include[v]) {
@@ -252,11 +270,6 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 			}
 		}
 	}
-	for _, p := range info.Points {
-		for _, v := range p.Live {
-			mark(v)
-		}
-	}
 	n := present.Count()
 	s.N = n
 	s.VertexOf = make([]int, nv)
@@ -269,47 +282,58 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		s.ValueOf = append(s.ValueOf, v)
 	})
 
-	// Intern the program-point live sets (translated to vertex IDs) and
-	// remember, per point, which interned set it maps to.
+	// Def points. Every vertex must have a recorded definition instant; a
+	// miss means the input was not the strict SSA shape this path is for.
+	// Each distinct def point becomes one set, numbered in point order (the
+	// phis of a block share their block's first point). A point's live set
+	// is contained in the def-point set of its last-defined member, so
+	// these sets alone carry every pressure constraint and every edge.
 	if !meter.Charge(len(info.Points)) {
 		return nil
 	}
-	pointSet := arena.Ints(len(info.Points))
-	pointSet = pointSet[:len(info.Points)]
-	intern := scratch.intern
-	subsetMax := 0
-	for pi, p := range info.Points {
-		vs := scratch.vsBuf[:0]
-		for _, v := range p.Live {
-			if vx := s.VertexOf[v]; vx >= 0 {
-				vs = append(vs, vx)
-			}
-		}
-		scratch.vsBuf = vs
-		if len(vs) == 0 {
-			pointSet[pi] = -1
-			continue
-		}
-		if include != nil && len(vs) > subsetMax {
-			subsetMax = len(vs)
-		}
-		idx, _ := intern.Intern(vs)
-		pointSet[pi] = idx
+	points := info.Points
+	setOf := arena.Ints(len(points))[:len(points)]
+	for i := range setOf {
+		setOf[i] = -1
 	}
-	if include != nil {
-		// MaxLive is the subset's own pressure peak, not the function's.
-		s.MaxLive = subsetMax
-	}
-
-	// Def-point sets. Every vertex must have a recorded definition instant;
-	// a miss means the input was not the strict SSA shape this path is for.
-	s.DefSetOf = make([]int32, n)
-	for vx, val := range s.ValueOf {
+	for _, val := range s.ValueOf {
 		dp := info.DefPointOf[val]
-		if dp < 0 || dp >= len(pointSet) || pointSet[dp] < 0 {
+		if dp < 0 || dp >= len(points) {
 			return nil
 		}
-		s.DefSetOf[vx] = int32(pointSet[dp])
+		setOf[dp] = 0
+	}
+	nsets, total, subsetMax := 0, 0, 0
+	for pt, c := range setOf {
+		if c < 0 {
+			continue
+		}
+		size := len(points[pt].Live)
+		if include != nil {
+			size = 0
+			for _, v := range points[pt].Live {
+				if s.VertexOf[v] >= 0 {
+					size++
+				}
+			}
+			subsetMax = max(subsetMax, size)
+		}
+		if size == 0 {
+			return nil
+		}
+		setOf[pt] = nsets
+		nsets++
+		total += size
+	}
+	if include != nil {
+		// MaxLive is the subset's own pressure peak, not the function's:
+		// every projected point set lies inside the projected def-point set
+		// of its last-defined included member.
+		s.MaxLive = subsetMax
+	}
+	s.DefSetOf = make([]int32, n)
+	for vx, val := range s.ValueOf {
+		s.DefSetOf[vx] = int32(setOf[info.DefPointOf[val]])
 	}
 
 	// PEO: reverse definition order along a dominance-tree preorder. In
@@ -323,22 +347,25 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		return nil
 	}
 
-	// Copy the interned sets out into one exact-size retained slab (the
-	// interner's storage is scratch and will be recycled).
-	interned := intern.Sets()
-	total := 0
-	for _, set := range interned {
-		total += len(set)
-	}
-	if !meter.Charge(n + total) {
+	if meter != nil && !meter.Charge(n+distinctPointTotal(points, scratch)) {
 		return nil
 	}
+
+	// Translate the def-point sets straight into one exact-size retained
+	// slab (translation preserves the ascending order).
 	slab := make([]int, 0, total)
-	s.Sets = make([][]int, len(interned))
-	for i, set := range interned {
+	s.Sets = make([][]int, nsets)
+	for pt, ci := range setOf {
+		if ci < 0 {
+			continue
+		}
 		start := len(slab)
-		slab = append(slab, set...)
-		s.Sets[i] = slab[start:len(slab):len(slab)]
+		for _, v := range points[pt].Live {
+			if vx := s.VertexOf[v]; vx >= 0 {
+				slab = append(slab, vx)
+			}
+		}
+		s.Sets[ci] = slab[start:len(slab):len(slab)]
 	}
 
 	// CSR membership index.
@@ -364,6 +391,29 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		}
 	}
 	return s
+}
+
+// distinctPointTotal is the total size of the distinct non-empty
+// program-point live sets: the pinned charge of DeriveBudget's last phase.
+// It interns the value sets in place; in full mode every live value has a
+// vertex and the value-to-vertex translation preserves order, so distinct
+// value sets are exactly the distinct translated sets.
+func distinctPointTotal(points []liveness.Point, scratch *Scratch) int {
+	if scratch.intern == nil {
+		scratch.intern = bitset.NewInterner(len(points))
+	}
+	it := scratch.intern
+	it.Reset()
+	total := 0
+	for _, p := range points {
+		if len(p.Live) == 0 {
+			continue
+		}
+		if _, added := it.InternRef(p.Live); added {
+			total += len(p.Live)
+		}
+	}
+	return total
 }
 
 // DominancePEO returns the vertices of a strict-SSA function in reverse

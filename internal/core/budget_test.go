@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -241,4 +242,118 @@ func TestStepAllocatorBadStepIsTypedError(t *testing.T) {
 	if err == nil || !errors.Is(err, raerr.ErrInvalidConfig) {
 		t.Fatalf("err = %v, want ErrInvalidConfig", err)
 	}
+}
+
+// intervalProbe records the linear-scan intervals a configured allocator is
+// handed, then burns the step budget like greedyAllocator.
+type intervalProbe struct{ intervals, n *int }
+
+func (intervalProbe) Name() string { return "interval-probe" }
+func (a intervalProbe) Allocate(p *alloc.Problem) *alloc.Result {
+	*a.intervals, *a.n = len(p.Intervals), p.N()
+	if p.Intervals == nil {
+		*a.intervals = -1
+	}
+	p.Meter.Charge(1 << 40)
+	return &alloc.Result{Allocated: make([]bool, p.N()), Allocator: "interval-probe"}
+}
+
+// TestLinearScanRungBuildsIntervals: the default allocators never read
+// linear-scan intervals, so a run builds none for them, and the
+// linear-scan rung builds its own. A step limit swept over a whole run of
+// the default allocator must land every trip in allocate or assign on the
+// linear-scan rung, on a strict-SSA function (the clique path) and on one
+// whose unreachable code sends it down the explicit-graph path. A non-SSA
+// function's default (LH) charges no steps, so there a metered configured
+// allocator trips instead; it must see intervals of one entry per vertex.
+func TestLinearScanRungBuildsIntervals(t *testing.T) {
+	const deadCodeSrc = loopSrc + `
+func dead ssa {
+b0:
+  a = param 0
+  b = param 1
+  c = arith a, b
+  d = arith c, a
+  e = arith d, b
+  ret e
+b1:
+  x = arith a, a
+  ret x
+}`
+	m, err := ir.ParseModule(deadCodeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRung := func(name string, out *Outcome) {
+		t.Helper()
+		if out.Degraded.Rung != RungLinearScan || out.Result.Allocator != "DLS" {
+			t.Fatalf("%s: trip in %s landed on %s (%s), want the linear-scan rung",
+				name, out.Degraded.Stage, out.Degraded.Rung, out.Result.Allocator)
+		}
+		if len(out.Problem.Intervals) != out.Problem.N() {
+			t.Fatalf("%s: rung problem has %d intervals for %d vertices",
+				name, len(out.Problem.Intervals), out.Problem.N())
+		}
+		if err := out.Problem.Validate(out.Result); err != nil {
+			t.Fatalf("%s: rung result invalid: %v", name, err)
+		}
+	}
+	for i, fn := range m.Funcs {
+		name := fn.Name
+		full, err := Run(m.Funcs[i], Config{Registers: 2, Budget: budget.Limits{Steps: 1 << 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantGraph := i == 1; (full.Build != nil) != wantGraph {
+			t.Fatalf("%s: explicit graph %v, want %v", name, full.Build != nil, wantGraph)
+		}
+		if full.Problem.Intervals != nil {
+			t.Fatalf("%s: the default allocator's problem carries intervals", name)
+		}
+		allocTrips := 0
+		for steps := int64(1); steps < full.BudgetSpent; steps++ {
+			f := ir.MustParse(fn.String())
+			out, err := Run(f, Config{Registers: 2, Budget: budget.Limits{Steps: steps}, Degrade: true})
+			if err != nil {
+				t.Fatalf("%s steps=%d: %v", name, steps, err)
+			}
+			if out.Degraded == nil {
+				t.Fatalf("%s steps=%d: below the full spend %d, yet not degraded", name, steps, full.BudgetSpent)
+			}
+			switch out.Degraded.Stage {
+			case raerr.StageAllocate:
+				allocTrips++
+				fallthrough
+			case raerr.StageAssign:
+				checkRung(fmt.Sprintf("%s steps=%d", name, steps), out)
+			}
+		}
+		if allocTrips == 0 {
+			t.Fatalf("%s: no step limit tripped in allocate", name)
+		}
+	}
+
+	var seen, n int
+	f := ir.MustParse(`
+func ns {
+b0:
+  x = param 0
+  y = param 1
+  z = arith x, y
+  x = arith z, z
+  store x, z
+  ret z
+}`)
+	out, err := Run(f, Config{Registers: 1, Allocator: intervalProbe{&seen, &n},
+		Budget: budget.Limits{Steps: 100_000}, Degrade: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != n || n == 0 {
+		t.Fatalf("configured allocator saw %d intervals for %d vertices", seen, n)
+	}
+	if out.Degraded == nil || out.Degraded.Stage != raerr.StageAllocate {
+		t.Fatalf("non-SSA: Degraded = %+v, want a trip in allocate", out.Degraded)
+	}
+	checkRung("non-SSA", out)
 }

@@ -13,11 +13,11 @@
 //	// out.Rewritten: the function with spill/reload code inserted
 //
 // One driver runs every function. Strict-SSA functions take the IFG-free
-// fast path: the clique structure the layered allocators need (live sets,
-// def-point cliques, dominance elimination order) is derived straight from
-// liveness by internal/cliques, and no interference graph is ever
-// materialized unless an edge-based allocator (GC, Optimal, LH) asks for
-// one. Allocation is per register class: an unconstrained run is the
+// fast path: the clique structure the layered allocators need (the live
+// sets at definition points, dominance elimination order) is derived
+// straight from liveness by internal/cliques, and no interference graph is
+// ever materialized unless an edge-based allocator (GC, Optimal, LH) asks
+// for one. Allocation is per register class: an unconstrained run is the
 // machine with one class of R registers, no pins and no clobbers; a
 // machine (Config.Constraints) adds classes, pre-colored values and call
 // clobbers through a constraint plan (constrained.go). Non-SSA functions,
@@ -342,13 +342,25 @@ func run(f *ir.Func, cfg Config, runner *Runner, explicitGraph bool) (*Outcome, 
 // structure with r registers.
 func (d *driver) problem(r int, cons *arch.Constraints) *alloc.Problem {
 	if d.cs != nil {
-		p := alloc.BuildProblem(alloc.Spec{Cliques: d.cs, Costs: d.costs, R: r, Constraints: cons})
-		p.Intervals = linearscan.IntervalsFromLiveness(d.info, d.cs.VertexOf, d.cs.N)
-		return p
+		return alloc.BuildProblem(alloc.Spec{Cliques: d.cs, Costs: d.costs, R: r, Constraints: cons})
 	}
-	p := alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: d.costs, R: r, Dom: d.dom})
-	p.Intervals = linearscan.BuildIntervals(d.info, d.build)
-	return p
+	return alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: d.costs, R: r, Dom: d.dom})
+}
+
+// intervals returns the linear-scan live intervals of p, a problem over
+// the run's interference structure or over one class's subset of it. Only
+// two readers need them, so only they pay for them: a configured allocator
+// (the linear scans require them, and an allocator registered through
+// regalloc.Register may read the public Problem's), set up in allocate,
+// and the linear-scan rung.
+func (d *driver) intervals(p *alloc.Problem) [][2]int {
+	var vertexOf []int
+	if p.Cliques != nil {
+		vertexOf = p.Cliques.VertexOf
+	} else {
+		vertexOf = d.build.VertexOf
+	}
+	return linearscan.IntervalsFromLiveness(d.info, vertexOf, p.N())
 }
 
 // allocateClasses allocates every register class against its capacity.
@@ -395,7 +407,6 @@ func (d *driver) allocateClasses() (*alloc.Problem, *alloc.Result, error) {
 				Err: fmt.Errorf("%w: per-class clique derivation failed for %s", raerr.ErrNotSSA, c)}
 		}
 		p := alloc.BuildProblem(alloc.Spec{Cliques: sub, Costs: d.costs, R: d.file.Caps[c]})
-		p.Intervals = linearscan.IntervalsFromLiveness(d.info, sub.VertexOf, sub.N)
 		res, ferr := d.allocate(a, p, c)
 		if ferr != nil {
 			return nil, nil, ferr
@@ -465,6 +476,9 @@ func (d *driver) allocate(a alloc.Allocator, p *alloc.Problem, c ir.Class) (*all
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
 			Err: fmt.Errorf("%w: allocator %s requires a chordal (strict-SSA) instance",
 				raerr.ErrNotSSA, a.Name())}
+	}
+	if d.cfg.Allocator != nil {
+		p.Intervals = d.intervals(p)
 	}
 	// Structural preconditions (chordality, intervals, option sanity) are
 	// checked up front so a malformed problem surfaces as a typed error
@@ -711,14 +725,17 @@ func outcomeFrom(f *ir.Func, build *ifg.Build, cs *cliques.Structure, p *alloc.P
 // step allowance (the scan is O(n log n); the allowance only matters when
 // the shared wall-clock deadline is already near). Only unconstrained runs
 // get it — the interval scan is blind to pins and clobbers, so a machine
-// run falls straight to the floor. Any failure inside the rung — no
-// intervals to scan, an invalid result, an assignment trip — falls through
-// to the spill-all floor.
+// run falls straight to the floor. Any failure inside the rung — an
+// invalid result, an assignment trip — falls through to the spill-all
+// floor.
 func (d *driver) linearScanRung(p *alloc.Problem) (*Outcome, error) {
 	m := d.m
 	trip := m.BudgetErr()
-	if d.plan != nil || p.Intervals == nil {
+	if d.plan != nil {
 		return d.spillAll(trip)
+	}
+	if p.Intervals == nil {
+		p.Intervals = d.intervals(p)
 	}
 	rm := m.Rung(32*int64(p.N()) + 1024)
 	rm.SetStage(raerr.StageAllocate)

@@ -8,20 +8,25 @@ package ir
 // clamped, so a later append to one block's Instrs reallocates instead of
 // clobbering its slab neighbour. Slice nil-ness is preserved, and a nil
 // ValueName map stays nil.
-func (f *Func) Clone() *Func {
+func (f *Func) Clone() *Func { return f.CloneGrow(0, 0) }
+
+// CloneGrow is Clone with room reserved in the value annotation maps: names
+// more ValueName entries and classes more ValueClass entries fit without
+// either map growing. A nil map stays nil unless room is asked for.
+func (f *Func) CloneGrow(names, classes int) *Func {
 	g := &Func{
 		Name:      f.Name,
 		NumValues: f.NumValues,
 		SSA:       f.SSA,
 	}
-	if f.ValueName != nil {
-		g.ValueName = make(map[int]string, len(f.ValueName))
+	if f.ValueName != nil || names > 0 {
+		g.ValueName = make(map[int]string, len(f.ValueName)+names)
 		for k, v := range f.ValueName {
 			g.ValueName[k] = v
 		}
 	}
-	if f.ValueClass != nil {
-		g.ValueClass = make(map[int]Class, len(f.ValueClass))
+	if f.ValueClass != nil || classes > 0 {
+		g.ValueClass = make(map[int]Class, len(f.ValueClass)+classes)
 		for k, v := range f.ValueClass {
 			g.ValueClass[k] = v
 		}

@@ -193,6 +193,69 @@ func TestCustomAllocatorMalformedResult(t *testing.T) {
 	}
 }
 
+// intervalAllocator records, per call, how many linear-scan intervals it
+// was handed against the vertex count, and spills everything.
+type intervalAllocator struct{}
+
+var intervalCalls struct {
+	sync.Mutex
+	seen [][2]int // {len(p.Intervals), p.N()}, -1 for nil intervals
+}
+
+func (intervalAllocator) Name() string { return "test-intervals" }
+func (intervalAllocator) Allocate(p *regalloc.Problem) *regalloc.Result {
+	got := len(p.Intervals)
+	if p.Intervals == nil {
+		got = -1
+	}
+	intervalCalls.Lock()
+	intervalCalls.seen = append(intervalCalls.seen, [2]int{got, p.N()})
+	intervalCalls.Unlock()
+	return &regalloc.Result{Allocated: make([]bool, p.N()), Allocator: "test-intervals"}
+}
+
+// TestCustomAllocatorSeesIntervals: the pipeline builds linear-scan intervals
+// only for allocators that may read them, and a registered allocator is
+// one: on the clique path, the explicit-graph path and a machine's
+// per-class subproblems it gets one interval per vertex.
+func TestCustomAllocatorSeesIntervals(t *testing.T) {
+	if err := regalloc.Register("test-intervals", func() regalloc.Allocator { return intervalAllocator{} }); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  string
+		opts []regalloc.Option
+	}{
+		{"ssa", ssaSrc, nil},
+		{"non-ssa", nonSSASrc, nil},
+		{"machine", ssaSrc, []regalloc.Option{regalloc.WithMachine("armv7")}},
+	} {
+		intervalCalls.Lock()
+		intervalCalls.seen = nil
+		intervalCalls.Unlock()
+		opts := append([]regalloc.Option{regalloc.WithRegisters(4), regalloc.WithAllocator("test-intervals")}, tc.opts...)
+		eng, err := regalloc.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.AllocateFunc(context.Background(), irx.MustParse(tc.src)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		intervalCalls.Lock()
+		seen := intervalCalls.seen
+		intervalCalls.Unlock()
+		if len(seen) == 0 {
+			t.Fatalf("%s: allocator never called", tc.name)
+		}
+		for _, c := range seen {
+			if c[0] != c[1] || c[1] == 0 {
+				t.Errorf("%s: allocator saw %d intervals for %d vertices", tc.name, c[0], c[1])
+			}
+		}
+	}
+}
+
 // panicAllocator blows up on every input: even then, clients must get the
 // documented *FuncError, never a crashed batch or an untyped error.
 type panicAllocator struct{}
